@@ -1,12 +1,15 @@
 """Query hot path: scalar scan vs batched scan vs warm signature cache.
 
-The batch-first redesign promises that a Q2 hash fleet scan is answered
+The batch-first design promises that a Q2 hash fleet scan is answered
 (a) in one vectorised pass per node instead of a Python loop per window,
 and (b) from the storage controllers' hash-on-write signature cache
 without touching the hash kernels at all when the cache is warm.  This
-benchmark times all three modes on Q2 hash scans at several fleet sizes,
-asserts the returned rows are element-identical, and writes the measured
-numbers to ``BENCH_query.json`` at the repo root.
+benchmark times three modes on Q2 hash scans at several fleet sizes —
+the scalar reference scan from ``tests/oracles.py``, the production scan
+over a fleet stored without hash-on-write (cold), and the production
+scan over a fleet with a warm cache — asserts the returned rows are
+element-identical, and writes the measured numbers to
+``BENCH_query.json`` at the repo root.
 
 Gates: batched-cold must beat scalar by >= 2x at every fleet size, and
 the warm cache must beat scalar by >= 5x on the paper's 11-node fleet.
@@ -16,7 +19,7 @@ gate (the CI smoke configuration).
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import json
 import os
 import pathlib
@@ -28,6 +31,7 @@ from repro.apps.queries import QueryEngine, QuerySpec
 from repro.hashing.lsh import LSHFamily
 from repro.storage.controller import StorageController
 from repro.storage.nvm import NVMDevice
+from tests.oracles import query_run
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_query.json"
 
@@ -45,14 +49,15 @@ MIN_BATCHED_SPEEDUP = 2.0
 MIN_WARM_SPEEDUP_11 = 5.0
 
 
-def _build_fleet(n_nodes: int, seed: int = 0):
+def _build_fleet(n_nodes: int, seed: int = 0, with_cache: bool = True):
     lsh = LSHFamily.for_measure("dtw")
     rng = np.random.default_rng(seed)
     template = (rng.standard_normal(WINDOW_LEN).cumsum() * 300).round()
     controllers = []
     for node in range(n_nodes):
         controller = StorageController(
-            device=NVMDevice(capacity_bytes=16 * 1024 * 1024), lsh=lsh
+            device=NVMDevice(capacity_bytes=16 * 1024 * 1024),
+            lsh=lsh if with_cache else None,
         )
         for w in range(N_WINDOWS):
             windows = (
@@ -67,20 +72,13 @@ def _build_fleet(n_nodes: int, seed: int = 0):
     return engine, template
 
 
-def _row_keys(result):
-    return [
-        (row.node, row.electrode, row.window_index, row.samples.tobytes())
-        for row in result.rows
-    ]
-
-
-def _time_run(engine, spec, template) -> tuple[float, list]:
+def _time_run(run, spec, template) -> tuple[float, list]:
     best, rows = float("inf"), None
     for _ in range(ROUNDS):
         start = time.perf_counter()
-        result = engine.run(spec, (0, N_WINDOWS), template=template)
+        result = run(spec, (0, N_WINDOWS), template=template)
         best = min(best, time.perf_counter() - start)
-        rows = _row_keys(result)
+        rows = result.row_keys()
     return best, rows
 
 
@@ -89,12 +87,13 @@ def test_query_hotpath(report):
     results = []
     for n_nodes in FLEET_SIZES:
         engine, template = _build_fleet(n_nodes)
-        scalar = dataclasses.replace(engine, batched=False)
-        cold = dataclasses.replace(engine, use_cache=False)
+        cold, _ = _build_fleet(n_nodes, with_cache=False)
 
-        scalar_s, scalar_rows = _time_run(scalar, spec, template)
-        cold_s, cold_rows = _time_run(cold, spec, template)
-        warm_s, warm_rows = _time_run(engine, spec, template)
+        scalar_s, scalar_rows = _time_run(
+            functools.partial(query_run, engine), spec, template
+        )
+        cold_s, cold_rows = _time_run(cold.run, spec, template)
+        warm_s, warm_rows = _time_run(engine.run, spec, template)
 
         assert cold_rows == scalar_rows
         assert warm_rows == scalar_rows

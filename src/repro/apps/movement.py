@@ -72,15 +72,6 @@ class MovementSession:
         )
 
 
-def _direction_class(velocity: np.ndarray, idle_speed: float) -> int:
-    """Direction octant of a velocity, or 8 when (near) idle."""
-    speed = float(np.hypot(velocity[0], velocity[1]))
-    if speed < idle_speed:
-        return 8
-    angle = np.arctan2(velocity[1], velocity[0])  # (-pi, pi]
-    return int(np.floor((angle + np.pi) / (np.pi / 4))) % 8
-
-
 def generate_movement_session(
     n_nodes: int = 4,
     electrodes_per_node: int = 24,

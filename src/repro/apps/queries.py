@@ -18,7 +18,6 @@ hash checks ride the CCHECK PE.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,7 @@ from repro.errors import ConfigurationError, ScaloError
 from repro.hardware.catalog import get_pe
 from repro.hashing.lsh import LSHFamily
 from repro.network.radio import EXTERNAL_RADIO, RadioSpec
-from repro.similarity.dtw import dtw_distance, dtw_distance_batch
+from repro.similarity.dtw import dtw_distance_batch
 from repro.storage.controller import StorageController
 from repro.storage.nvm import NVMDevice
 from repro.telemetry import NULL_TELEMETRY, TelemetryLike, TraceContext
@@ -201,8 +200,8 @@ class DistributedQueryResult:
 
         The stable identity of an answer: equality of two results' row
         keys is exactly "same rows, same order, same bytes" — what the
-        batched/scalar equivalence tests and the serving layer's
-        response-log checksums compare.
+        oracle equivalence tests and the serving layer's response-log
+        checksums compare.
         """
         return [
             (row.node, row.electrode, row.window_index, row.samples.tobytes())
@@ -227,12 +226,11 @@ class QueryEngine:
     (what Q1 filters on); Q2 matches stored windows against a template via
     the node's LSH (or exact DTW).
 
-    :meth:`run` is the single entry point.  By default each node is
-    scanned as one batched pass (vectorised hashing/DTW, served from the
-    storage controllers' hash-on-write signature cache where possible);
-    ``batched=False`` selects the reference window-at-a-time scan, and
-    ``use_cache=False`` forces rehashing.  All three paths return
-    element-identical rows (property-tested in
+    :meth:`run` is the single entry point.  Each node is scanned as one
+    batched pass (vectorised hashing/DTW, served from the storage
+    controllers' hash-on-write signature cache where possible).  Rows
+    equal those of the window-at-a-time reference scan in
+    ``tests/oracles.py`` (property-tested in
     ``tests/test_query_batching.py``).
     """
 
@@ -241,10 +239,6 @@ class QueryEngine:
     seizure_flags: dict[int, set[int]] = field(default_factory=dict)
     dtw_threshold: float = 60.0
     dtw_band: int = 10
-    #: scan each node as one vectorised pass (off = reference scalar scan)
-    batched: bool = True
-    #: serve Q2 hash signatures from the SC signature cache when present
-    use_cache: bool = True
     #: observability handle: per-node ``lookup`` spans, a ``merge`` span,
     #: and the ``query.*`` counters land here
     telemetry: TelemetryLike = field(default=NULL_TELEMETRY, repr=False)
@@ -263,40 +257,7 @@ class QueryEngine:
 
     # -- per-node scans --------------------------------------------------------------
 
-    def _node_rows_scalar(
-        self,
-        node: int,
-        spec: QuerySpec,
-        window_range: tuple[int, int],
-        template: np.ndarray | None,
-        template_sig: tuple[int, ...] | None,
-    ) -> list[QueryResultRow]:
-        """Reference scan: one read + one hash/DTW per stored window."""
-        start, stop = window_range
-        controller = self.controllers[node]
-        flags = self.seizure_flags.get(node, set())
-        rows: list[QueryResultRow] = []
-        for electrode, window_index in self._stored_windows(node):
-            if not start <= window_index < stop:
-                continue
-            if spec.kind == "q1" and window_index not in flags:
-                continue
-            samples = controller.read_window(electrode, window_index)
-            if spec.kind == "q2":
-                if spec.use_hash:
-                    sig = self.lsh.hash_window(samples.astype(float))
-                    if not self.lsh.matches(sig, template_sig):
-                        continue
-                else:
-                    cost = dtw_distance(
-                        samples.astype(float), template, self.dtw_band
-                    )
-                    if cost > self.dtw_threshold:
-                        continue
-            rows.append(QueryResultRow(node, electrode, window_index, samples))
-        return rows
-
-    def _node_rows_batched(
+    def _node_rows(
         self,
         node: int,
         spec: QuerySpec,
@@ -311,9 +272,8 @@ class QueryEngine:
         the matched windows off the NVM; misses are read once and hashed
         in a single vectorised pass (per window length, since stored
         windows need not share a geometry).  Q2 DTW scans batch the DP
-        over all same-length windows.  Row order (sorted
-        ``(electrode, window)``) and row contents match the scalar scan
-        exactly.
+        over all same-length windows.  Rows come in sorted
+        ``(electrode, window)`` order.
         """
         start, stop = window_range
         controller = self.controllers[node]
@@ -333,15 +293,12 @@ class QueryEngine:
         if spec.kind == "q2" and spec.use_hash:
             signatures: dict[tuple[int, int], tuple[int, ...]] = {}
             misses: list[tuple[int, int]] = []
-            if self.use_cache:
-                for pair in pairs:
-                    sig = controller.window_signature(*pair)
-                    if sig is None:
-                        misses.append(pair)
-                    else:
-                        signatures[pair] = sig
-            else:
-                misses = list(pairs)
+            for pair in pairs:
+                sig = controller.window_signature(*pair)
+                if sig is None:
+                    misses.append(pair)
+                else:
+                    signatures[pair] = sig
             if tel.enabled:
                 tel.inc("query.cache_hit", len(pairs) - len(misses))
                 tel.inc("query.cache_miss", len(misses))
@@ -438,20 +395,6 @@ class QueryEngine:
             QueryResultRow(node, pair[0], pair[1], empty) for pair in pairs
         ]
 
-    def _node_rows(
-        self,
-        node: int,
-        spec: QuerySpec,
-        window_range: tuple[int, int],
-        template: np.ndarray | None,
-        template_sig: tuple[int, ...] | None,
-        cache_only: bool = False,
-    ) -> list[QueryResultRow]:
-        if cache_only:
-            return self._node_rows_cached(node, spec, window_range, template_sig)
-        scan = self._node_rows_batched if self.batched else self._node_rows_scalar
-        return scan(node, spec, window_range, template, template_sig)
-
     # -- the query entry point -------------------------------------------------------
 
     def run(
@@ -466,11 +409,9 @@ class QueryEngine:
     ) -> DistributedQueryResult:
         """Run a query over window indexes ``[start, stop)`` on all nodes.
 
-        The single query entry point (the former ``execute`` /
-        ``execute_resilient`` split collapsed): nodes listed in
-        ``dead_nodes`` are skipped outright; a node whose scan errors
-        mid-flight (rotted metadata, storage faults) is added to
-        ``failed_nodes`` and the query proceeds — partial answers beat
+        Nodes listed in ``dead_nodes`` are skipped outright; a node whose
+        scan errors mid-flight (rotted metadata, storage faults) is added
+        to ``failed_nodes`` and the query proceeds — partial answers beat
         lost sessions for interactive use.  Query-spec errors (bad kind,
         missing template) still raise: they are caller bugs, not faults.
 
@@ -498,10 +439,14 @@ class QueryEngine:
             with tel.span("lookup", trace=traces.get(node), node=node,
                           kind=spec.kind) as span:
                 try:
-                    node_rows = self._node_rows(
-                        node, spec, window_range, template, template_sig,
-                        cache_only=cache_only,
-                    )
+                    if cache_only:
+                        node_rows = self._node_rows_cached(
+                            node, spec, window_range, template_sig
+                        )
+                    else:
+                        node_rows = self._node_rows(
+                            node, spec, window_range, template, template_sig
+                        )
                 except ScaloError:
                     failed.append(node)
                     tel.inc("query.node_failures")
@@ -519,44 +464,6 @@ class QueryEngine:
                 tel.inc("query.degraded")
             tel.set_gauge("query.coverage", result.coverage, kind=spec.kind)
         return result
-
-    # -- deprecated pre-`run` entry points ---------------------------------------------
-
-    def execute(
-        self,
-        spec: QuerySpec,
-        window_range: tuple[int, int],
-        template: np.ndarray | None = None,
-    ) -> list[QueryResultRow]:
-        """Deprecated: use :meth:`run` (this returns ``run(...).rows``)."""
-        warnings.warn(
-            "QueryEngine.execute is deprecated; use QueryEngine.run",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(spec, window_range, template=template).rows
-
-    def execute_resilient(
-        self,
-        spec: QuerySpec,
-        window_range: tuple[int, int],
-        template: np.ndarray | None = None,
-        dead_nodes: set[int] | None = None,
-        node_traces: dict[int, TraceContext | None] | None = None,
-    ) -> DistributedQueryResult:
-        """Deprecated: use :meth:`run` (same semantics, keyword-only)."""
-        warnings.warn(
-            "QueryEngine.execute_resilient is deprecated; use QueryEngine.run",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(
-            spec,
-            window_range,
-            template=template,
-            dead_nodes=dead_nodes,
-            node_traces=node_traces,
-        )
 
 
 def _group_by_length(

@@ -245,8 +245,7 @@ class SeizurePropagationSimulator:
                     node_hashes.append([])
                     continue
                 signatures = []
-                for electrode in range(rec.n_electrodes):
-                    sig = self.lsh.hash_window(windows[node, electrode])
+                for sig in self.lsh.hash_channels(windows[node]):
                     if (
                         self.hash_error_rate
                         and self._rng.random() < self.hash_error_rate

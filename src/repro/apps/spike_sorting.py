@@ -100,7 +100,10 @@ class TemplateMatcher:
         self._waves = np.stack(
             [_peak_normalise(t[c]) for t, c in zip(self.templates, self._dominant)]
         )
-        self._signatures = [self.hasher.hash_window(w) for w in self._waves]
+        self._signatures = [
+            tuple(int(c) for c in row)
+            for row in self.hasher.hash_windows(self._waves)
+        ]
 
     @property
     def n_neurons(self) -> int:

@@ -38,9 +38,6 @@ class NodeClock:
     def advance(self, elapsed_s: float) -> None:
         self.offset_us += self.drift_ppm * elapsed_s
 
-    def read_us(self, true_time_us: float) -> float:
-        return true_time_us + self.offset_us
-
 
 @dataclass
 class SyncReport:

@@ -104,6 +104,19 @@ def make_pairs(n_pairs: int = 400, seed: int = 0) -> PairSet:
     return PairSet(pairs, labels)
 
 
+def pair_matches(
+    family: LSHFamily, pairs: list[tuple[np.ndarray, np.ndarray]]
+) -> np.ndarray:
+    """Whether each ``(a, b)`` pair's hashes collide under ``family``.
+
+    Both sides are hashed in one batch each; rows must share a length.
+    """
+    sigs_a = family.hash_windows(np.stack([a for a, _ in pairs]))
+    sigs_b = family.hash_windows(np.stack([b for _, b in pairs]))
+    agreeing = (sigs_a == sigs_b).sum(axis=1)
+    return agreeing >= family.config.min_matching
+
+
 def hash_accuracy(
     measure_name: str,
     n_pairs: int = 400,
@@ -126,13 +139,7 @@ def hash_accuracy(
     exact = np.array(
         [measure.is_similar(a, b, threshold) for a, b in pairs], dtype=bool
     )
-    hashed = np.array(
-        [
-            family.matches(family.hash_window(a), family.hash_window(b))
-            for a, b in pairs
-        ],
-        dtype=bool,
-    )
+    hashed = pair_matches(family, pairs)
     wrong = exact != hashed
 
     centers = (BIN_EDGES_PCT[:-1] + BIN_EDGES_PCT[1:]) / 2

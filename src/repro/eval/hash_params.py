@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.eval.hash_accuracy import make_pairs, pick_threshold
+from repro.eval.hash_accuracy import make_pairs, pair_matches, pick_threshold
 from repro.hashing.lsh import LSHConfig, LSHFamily
 from repro.similarity.measures import get_measure
 
@@ -63,14 +63,7 @@ def sweep_measure(
                 ngram=ngram,
                 normalise=(measure_name == "xcor"),
             )
-            family = LSHFamily(config)
-            matches = np.array(
-                [
-                    family.matches(family.hash_window(a), family.hash_window(b))
-                    for a, b in pairs
-                ],
-                dtype=bool,
-            )
+            matches = pair_matches(LSHFamily(config), pairs)
             positives = similar.sum()
             false_alarm = (matches & ~similar).sum() / max(1, (~similar).sum())
             raw_tpr = (matches & similar).sum() / max(1, positives)

@@ -119,9 +119,3 @@ class CollisionChecker:
                 if agreeing >= self.min_matching:
                     matches.append((idx, record))
         return matches
-
-    def any_match(
-        self, received: list[tuple[int, ...]], local: list[HashRecord]
-    ) -> bool:
-        """Fast-path: does any received hash collide with any local one?"""
-        return bool(self.check(received, local))

@@ -63,37 +63,24 @@ class EMDHash:
     def hash_window(self, window: np.ndarray) -> tuple[int, ...]:
         """Hash one signal window into ``n_components`` bucket indices."""
         window = np.asarray(window, dtype=float)
-        if self.normalise:
-            std = window.std()
-            window = (window - window.mean()) / std if std > 0 else window
-        histogram = signal_to_histogram(
-            window, self.n_bins, self.value_range
-        )
-        total = histogram.sum()
-        if total > 0:
-            histogram = histogram / total
-        components = []
-        for projection, offset in zip(self._projections, self._offsets):
-            dot = float(histogram @ projection)
-            value = np.sqrt(max(dot, 0.0))
-            components.append(int(np.floor((value + offset) / self.bucket_width)))
-        return tuple(components)
+        if window.ndim != 1:
+            raise ConfigurationError("hash_window expects a single 1-D window")
+        return tuple(int(c) for c in self.hash_windows(window[None, :])[0])
 
     def hash_windows(self, windows: np.ndarray) -> np.ndarray:
-        """Batched :meth:`hash_window` over ``(n_windows, samples)`` rows.
+        """Hash each row of ``(n_windows, samples)`` into bucket indices.
 
         Normalisation, projection, square root and quantisation run as
-        whole-batch array passes; the histogram step reuses the scalar
-        :func:`~repro.similarity.emd.signal_to_histogram` per row so the
-        bin-edge arithmetic is identical by construction.  Row ``i``
-        equals ``hash_window(windows[i])``.
+        whole-batch array passes; the histogram step runs
+        :func:`~repro.similarity.emd.signal_to_histogram` per row, the
+        same bin-edge arithmetic the exact comparator uses.  Row ``i``
+        equals the scalar reference ``tests.oracles.emd_hash_window``.
         """
         batch = np.asarray(windows, dtype=float)
         if batch.ndim != 2:
             raise ConfigurationError("expected (n_windows, samples)")
         if self.normalise:
-            # scalar hash_window leaves std == 0 rows untouched (not even
-            # mean-centred) — mirror that exactly
+            # std == 0 rows stay untouched (not even mean-centred)
             mean = batch.mean(axis=1)
             std = batch.std(axis=1)
             scaled = std > 0

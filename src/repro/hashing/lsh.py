@@ -21,20 +21,15 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hashing.emd_hash import EMDHash
-from repro.hashing.minhash import (
-    minhash_signature,
-    minhash_signature_batch,
-    minhash_tables,
-)
-from repro.hashing.ngram import ngram_counts, ngram_value_matrix
-from repro.hashing.sketch import (
-    random_projection_vector,
-    sign_sketch,
-    sign_sketch_batch,
-)
+from repro.hashing.minhash import minhash_signature_batch, minhash_tables
+from repro.hashing.ngram import ngram_value_matrix
+from repro.hashing.sketch import random_projection_vector, sign_sketch_batch
 
 #: Measures the family supports.
 SUPPORTED_MEASURES = ("dtw", "euclidean", "xcor", "emd")
+
+#: Largest n-gram the min-hash lookup tables cover (4096 shingle values).
+MAX_NGRAM = 12
 
 
 @dataclass(frozen=True)
@@ -71,8 +66,10 @@ class LSHConfig:
             )
         if self.sketch_window < 1:
             raise ConfigurationError("sketch window must be >= 1")
-        if self.ngram < 1:
-            raise ConfigurationError("n-gram size must be >= 1")
+        if not 1 <= self.ngram <= MAX_NGRAM:
+            raise ConfigurationError(
+                f"n-gram size must be between 1 and {MAX_NGRAM}"
+            )
         if not 1 <= self.min_matching <= self.n_components:
             raise ConfigurationError(
                 "min_matching must be between 1 and n_components"
@@ -146,8 +143,11 @@ class LSHFamily:
         """The intermediate HCONV bit sketch (exposed for tests/analysis)."""
         if self._projection is None:
             raise ConfigurationError("EMD hashes have no bit sketch")
-        return sign_sketch(
-            window,
+        return self._sketch_batch(np.asarray(window, dtype=float)[None, :])[0]
+
+    def _sketch_batch(self, batch: np.ndarray) -> np.ndarray:
+        return sign_sketch_batch(
+            batch,
             self._projection,
             stride=self.config.stride,
             normalise=self.config.normalise,
@@ -158,58 +158,43 @@ class LSHFamily:
         window = np.asarray(window, dtype=float)
         if window.ndim != 1:
             raise ConfigurationError("hash_window expects a single 1-D window")
-        if self._emd is not None:
-            return self._emd.hash_window(window)
-        bits = self.sketch(window)
-        counts = ngram_counts(bits, self.config.ngram)
-        if not counts:
-            # degenerate window shorter than the sketch geometry
-            return tuple(0 for _ in self._seeds)
-        return minhash_signature(counts, self._seeds, self.config.bits)
+        return tuple(int(c) for c in self.hash_windows(window[None, :])[0])
 
     def hash_windows(self, windows: np.ndarray) -> np.ndarray:
-        """Batch-hash ``(n_windows, window_len)`` rows in single passes.
+        """Hash ``(n_windows, window_len)`` rows in single passes.
 
-        The hot-path form of :meth:`hash_window`: the sketch is one
-        strided matmul over the whole batch, n-gram counting is one
-        ``bincount``, and the min-hash sampler runs off precomputed
-        per-seed lookup tables instead of per-shingle digests.  Row ``i``
-        of the result is element-identical to ``hash_window(windows[i])``
+        The sketch is one strided matmul over the whole batch, n-gram
+        counting is one ``bincount``, and the min-hash sampler runs off
+        per-family lookup tables instead of per-shingle digests.  Row
+        ``i`` equals the scalar reference
+        ``tests.oracles.lsh_hash_window(self, windows[i])``
         (property-tested in ``tests/test_query_batching.py``).
 
         Returns:
             ``(n_windows, n_components)`` int64 array of components.
+
+        Raises:
+            ConfigurationError: for rows shorter than the sketch window.
         """
         batch = np.asarray(windows, dtype=float)
         if batch.ndim != 2:
             raise ConfigurationError("hash_windows expects (n_windows, samples)")
         if self._emd is not None:
             return self._emd.hash_windows(batch)
-        bits = sign_sketch_batch(
-            batch,
-            self._projection,
-            stride=self.config.stride,
-            normalise=self.config.normalise,
-        )
+        bits = self._sketch_batch(batch)
         if bits.shape[1] < self.config.ngram:
             # degenerate geometry: every row's n-gram profile is empty
             return np.zeros((batch.shape[0], len(self._seeds)), dtype=np.int64)
-        if (1 << self.config.ngram) > 4096:
-            # shingle alphabet too large to tabulate — scalar fallback
-            # (no preset is near this; the sweep tool explores big n-grams)
-            return np.array(
-                [self.hash_window(row) for row in batch], dtype=np.int64
-            )
-        values = ngram_value_matrix(bits, self.config.ngram)
+        n_values = 1 << self.config.ngram
         if self._minhash_tables is None:
             self._minhash_tables = minhash_tables(
-                self._seeds, self.config.bits, 1 << self.config.ngram
+                self._seeds, self.config.bits, n_values
             )
         return minhash_signature_batch(
-            values,
+            ngram_value_matrix(bits, self.config.ngram),
             self._seeds,
             self.config.bits,
-            1 << self.config.ngram,
+            n_values,
             tables=self._minhash_tables,
         )
 

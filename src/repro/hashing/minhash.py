@@ -30,31 +30,6 @@ def _uniform01(value: int, seed: int) -> float:
     return (as_int + 1) / (2**64 + 2)
 
 
-def weighted_minhash_sample(counts: dict[int, int], seed: int) -> int:
-    """Select one n-gram from a weighted profile, min-wise consistently.
-
-    Returns:
-        The selected n-gram's packed integer value.
-
-    Raises:
-        ConfigurationError: for an empty profile.
-    """
-    if not counts:
-        raise ConfigurationError("cannot min-hash an empty n-gram profile")
-    best_key = -1
-    best_score = -1.0
-    for key, weight in counts.items():
-        if weight <= 0:
-            continue
-        score = _uniform01(key, seed) ** (1.0 / weight)
-        if score > best_score:
-            best_score = score
-            best_key = key
-    if best_key < 0:
-        raise ConfigurationError("profile has no positive weights")
-    return best_key
-
-
 def finalize_hash(sample: int, seed: int, bits: int) -> int:
     """Map a min-hash sample to a ``bits``-wide hash value.
 
@@ -69,29 +44,18 @@ def finalize_hash(sample: int, seed: int, bits: int) -> int:
     return int.from_bytes(digest, "little") & ((1 << bits) - 1)
 
 
-def minhash_signature(
-    counts: dict[int, int], seeds: list[int], bits: int
-) -> tuple[int, ...]:
-    """One hash component per seed — the OR-construction signature."""
-    return tuple(
-        finalize_hash(weighted_minhash_sample(counts, seed), seed, bits)
-        for seed in seeds
-    )
-
-
 def minhash_tables(
     seeds: list[int], bits: int, n_values: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Precompute the per-seed score and finalisation lookup tables.
 
-    The scalar sampler calls :func:`_uniform01` / :func:`finalize_hash`
-    per n-gram per seed — thousands of blake2b digests per window.  With
-    a bounded shingle alphabet (``n_values == 2**ngram``) both functions
-    depend only on ``(value, seed)``, so they tabulate once per hash
-    family: ``U[s, v]`` is the pseudo-uniform draw and ``F[s, v]`` the
-    finalised ``bits``-wide component for value ``v`` under seed
-    ``seeds[s]``.  Entries are produced by the *same* scalar functions,
-    so batched signatures are value-identical by construction.
+    :func:`_uniform01` and :func:`finalize_hash` depend only on
+    ``(value, seed)``, so over the bounded shingle alphabet
+    (``n_values == 2**ngram``) they tabulate once per hash family instead
+    of costing a blake2b digest per n-gram per seed per window:
+    ``U[s, v]`` is the pseudo-uniform draw and ``F[s, v]`` the finalised
+    ``bits``-wide component for value ``v`` under seed ``seeds[s]``.
+    These tables are the only place the sampler's values are defined.
     """
     if n_values < 1:
         raise ConfigurationError("need a positive shingle alphabet size")
@@ -111,7 +75,7 @@ def minhash_signature_batch(
     n_values: int,
     tables: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Batched :func:`minhash_signature` over per-row shingle values.
+    """One weighted min-hash signature per row of shingle values.
 
     Args:
         values: ``(n_windows, n_shingles)`` packed shingle values in
@@ -121,13 +85,13 @@ def minhash_signature_batch(
 
     Returns:
         ``(n_windows, len(seeds))`` int64 signature components; row ``i``
-        equals ``minhash_signature(ngram_counts(row_i), seeds, bits)``.
+        equals what the scalar reference ``tests.oracles.minhash_signature``
+        computes from that row's n-gram counts.
 
-    The selection rule matches the scalar sampler exactly: scores are
-    ``u ** (1 / w)`` and ties break toward the smallest shingle value
-    (the scalar loop walks keys in ascending order and only replaces on
-    a strictly greater score; ``argmax`` returns the first maximum over
-    the ascending value axis).
+    Each present shingle value ``v`` with weight ``w`` scores
+    ``U[s, v] ** (1 / w)``; the arg-max is the sample, and ties break
+    toward the smallest shingle value (``argmax`` returns the first
+    maximum over the ascending value axis).
     """
     values = np.asarray(values)
     if values.ndim != 2:

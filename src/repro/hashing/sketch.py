@@ -28,21 +28,21 @@ def random_projection_vector(
     return rng.standard_normal(length)
 
 
-def sign_sketch(
-    window: np.ndarray,
+def sign_sketch_batch(
+    windows: np.ndarray,
     projection: np.ndarray,
     stride: int = 1,
     normalise: bool = False,
     difference: bool = True,
 ) -> np.ndarray:
-    """Bit sketch: sign structure of sliding dot products with ``projection``.
+    """Bit sketches: sign structure of sliding dot products with ``projection``.
 
     Args:
-        window: 1-D signal window.
+        windows: ``(n_windows, window_len)`` signal windows, one per row.
         projection: the shared random vector; its length is the sketch
             sub-window size ``w``.
         stride: hop between sliding positions (SSH's ``delta``).
-        normalise: z-score the window first.  Pearson correlation is
+        normalise: z-score each row first.  Pearson correlation is
             invariant to offset and scale, so the XCOR-configured hash
             normalises; the Euclidean/DTW hashes do not.
         difference: take the sign of the dot-product *first difference*
@@ -52,45 +52,11 @@ def sign_sketch(
             every window hashes alike.  Differencing whitens the sketch
             while preserving the warping-tolerant local structure.
 
-    Returns:
-        uint8 array of 0/1 bits, one per sliding position (minus one
-        when differencing).
-    """
-    x = np.asarray(window, dtype=float)
-    r = np.asarray(projection, dtype=float)
-    if x.ndim != 1 or r.ndim != 1:
-        raise ConfigurationError("window and projection must be 1-D")
-    if r.shape[0] > x.shape[0]:
-        raise ConfigurationError(
-            f"projection ({r.shape[0]}) longer than window ({x.shape[0]})"
-        )
-    if stride < 1:
-        raise ConfigurationError("stride must be >= 1")
-    if normalise:
-        std = x.std()
-        x = (x - x.mean()) / std if std > 0 else x - x.mean()
-    positions = np.lib.stride_tricks.sliding_window_view(x, r.shape[0])[::stride]
-    dots = positions @ r
-    if difference:
-        return (np.diff(dots) > 0).astype(np.uint8)
-    return (dots > 0).astype(np.uint8)
-
-
-def sign_sketch_batch(
-    windows: np.ndarray,
-    projection: np.ndarray,
-    stride: int = 1,
-    normalise: bool = False,
-    difference: bool = True,
-) -> np.ndarray:
-    """Batched :func:`sign_sketch` over ``(n_windows, window_len)`` rows.
-
-    One strided view + one matmul covers the whole batch; row ``i`` of
-    the result is element-identical to ``sign_sketch(windows[i], ...)``.
-    The dot products are evaluated as a single ``(n * positions, w)``
-    by ``(w,)`` product — the same contiguous-rows-times-vector kernel
-    the scalar path uses — so the floating-point summation order per
-    sliding position is unchanged.
+    One strided view + one matmul covers the whole batch: the dot
+    products are a single ``(n * positions, w)`` by ``(w,)`` product, so
+    the summation order per sliding position does not depend on the
+    batch size.  Row ``i`` equals the scalar reference
+    ``tests.oracles.sign_sketch(windows[i], ...)``.
 
     Returns:
         uint8 array of shape ``(n_windows, sketch_bits)``.

@@ -106,10 +106,7 @@ class QueryRuntime:
 
             lsh = self.models.get("lsh") or LSHFamily.for_measure("dtw")
             if data.ndim == 3:
-                return [
-                    [lsh.hash_window(data[c, w]) for w in range(data.shape[1])]
-                    for c in range(data.shape[0])
-                ]
+                return [lsh.hash_channels(channel) for channel in data]
             raise CompilationError("hash expects windowed data")
         if op == "select":
             return data  # selection predicates are schedule-time filters

@@ -66,13 +66,6 @@ class TDMAConfig:
             raise ConfigurationError("need at least one node")
         return n_nodes * self.burst_ms(payload_bytes_per_node)
 
-    def all_to_one_ms(self, payload_bytes_per_node: int, n_nodes: int) -> float:
-        """Every node (including the aggregator's zero-cost local copy)
-        sends its payload to one node."""
-        if n_nodes < 1:
-            raise ConfigurationError("need at least one node")
-        return max(0, n_nodes - 1) * self.burst_ms(payload_bytes_per_node)
-
     # -- bandwidth views ------------------------------------------------------------
 
     def effective_rate_mbps(self, payload_bytes: int = MAX_PAYLOAD_BYTES) -> float:
@@ -80,12 +73,6 @@ class TDMAConfig:
         if payload_bytes <= 0:
             return 0.0
         return 8 * payload_bytes / (self.slot_ms(payload_bytes) * 1e3)
-
-    def radio_duty_cycle(self, bytes_per_window: int, window_ms: float) -> float:
-        """Fraction of time this node's radio is on for a periodic burst."""
-        if window_ms <= 0:
-            raise ConfigurationError("window must be positive")
-        return min(1.0, self.burst_ms(bytes_per_window) / window_ms)
 
 
 @dataclass

@@ -54,10 +54,6 @@ class NVMStats:
     #: pages found damaged beyond SECDED (multi-bit rot)
     ecc_uncorrectable: int = 0
 
-    @property
-    def dynamic_energy_mj(self) -> float:
-        return self.dynamic_energy_nj / 1e6
-
 
 @dataclass
 class NVMDevice:

@@ -35,20 +35,9 @@ class Partition:
     write_head: int = 0  # bytes written since creation (monotonic)
 
     @property
-    def used_bytes(self) -> int:
-        return min(self.write_head, self.size_bytes)
-
-    @property
     def wrapped(self) -> bool:
         """True once the ring has overwritten its oldest data."""
         return self.write_head > self.size_bytes
-
-    @property
-    def oldest_offset(self) -> int:
-        """Ring offset of the oldest still-present byte."""
-        if not self.wrapped:
-            return 0
-        return self.write_head % self.size_bytes
 
     def append(self, n_bytes: int) -> int:
         """Reserve space for ``n_bytes``; returns the device byte address.

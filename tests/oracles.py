@@ -1,0 +1,252 @@
+"""Scalar reference implementations that the production kernels are tested against.
+
+Production code has one path per concern: LSH hashing runs through the
+batched kernels (``sign_sketch_batch`` -> ``ngram_value_matrix`` ->
+``minhash_signature_batch``) and the query scan through one batched pass
+per node.  The functions here are the plain one-window-at-a-time
+versions of the same computations — one blake2b digest per shingle per
+seed, one read and one hash or DTW per stored window.  They are slow on
+purpose and live only in the test tree; tests hold production output
+equal to theirs, element for element.
+
+Only :func:`~repro.hashing.minhash._uniform01` and
+:func:`~repro.hashing.minhash.finalize_hash` are shared with production:
+they define the values the production lookup tables hold.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.apps.queries import (
+    DistributedQueryResult,
+    QueryEngine,
+    QueryResultRow,
+    QuerySpec,
+)
+from repro.errors import ConfigurationError, ScaloError
+from repro.hashing.emd_hash import EMDHash
+from repro.hashing.lsh import LSHFamily
+from repro.hashing.minhash import _uniform01, finalize_hash
+from repro.similarity.dtw import dtw_distance
+from repro.similarity.emd import signal_to_histogram
+
+# --- the hash pipeline: HCONV -> NGRAM -> weighted min-hash ---------------------
+
+
+def sign_sketch(
+    window: np.ndarray,
+    projection: np.ndarray,
+    stride: int = 1,
+    normalise: bool = False,
+    difference: bool = True,
+) -> np.ndarray:
+    """Bit sketch of one window: signs of sliding dot products."""
+    x = np.asarray(window, dtype=float)
+    r = np.asarray(projection, dtype=float)
+    if x.ndim != 1 or r.ndim != 1:
+        raise ConfigurationError("window and projection must be 1-D")
+    if r.shape[0] > x.shape[0]:
+        raise ConfigurationError(
+            f"projection ({r.shape[0]}) longer than window ({x.shape[0]})"
+        )
+    if stride < 1:
+        raise ConfigurationError("stride must be >= 1")
+    if normalise:
+        std = x.std()
+        x = (x - x.mean()) / std if std > 0 else x - x.mean()
+    positions = np.lib.stride_tricks.sliding_window_view(x, r.shape[0])[::stride]
+    dots = positions @ r
+    if difference:
+        return (np.diff(dots) > 0).astype(np.uint8)
+    return (dots > 0).astype(np.uint8)
+
+
+def ngram_counts(bits: np.ndarray, n: int) -> dict[int, int]:
+    """Histogram of the n-bit shingles (packed MSB first), keys ascending."""
+    bits = np.asarray(bits)
+    if bits.ndim != 1:
+        raise ConfigurationError("expected a 1-D bit array")
+    if n < 1:
+        raise ConfigurationError("n-gram size must be >= 1")
+    if np.any((bits != 0) & (bits != 1)):
+        raise ConfigurationError("sketch must contain only 0/1 bits")
+    if bits.shape[0] < n:
+        return {}
+    weights = 1 << np.arange(n - 1, -1, -1)
+    shingles = np.lib.stride_tricks.sliding_window_view(bits.astype(np.int64), n)
+    uniques, counts = np.unique(shingles @ weights, return_counts=True)
+    return {int(v): int(c) for v, c in zip(uniques, counts)}
+
+
+def profile_similarity(counts_a: dict[int, int], counts_b: dict[int, int]) -> float:
+    """Weighted Jaccard similarity: what min-hash collisions estimate."""
+    keys = set(counts_a) | set(counts_b)
+    min_sum = sum(min(counts_a.get(k, 0), counts_b.get(k, 0)) for k in keys)
+    max_sum = sum(max(counts_a.get(k, 0), counts_b.get(k, 0)) for k in keys)
+    return min_sum / max_sum if max_sum else 1.0
+
+
+def weighted_minhash_sample(counts: dict[int, int], seed: int) -> int:
+    """Select one n-gram: the arg-max of ``u ** (1 / w)``.
+
+    Ties keep the first key in iteration order, which for an
+    :func:`ngram_counts` profile is the smallest shingle value.
+    """
+    if not counts:
+        raise ConfigurationError("cannot min-hash an empty n-gram profile")
+    best_key = -1
+    best_score = -1.0
+    for key, weight in counts.items():
+        if weight <= 0:
+            continue
+        score = _uniform01(key, seed) ** (1.0 / weight)
+        if score > best_score:
+            best_score = score
+            best_key = key
+    if best_key < 0:
+        raise ConfigurationError("profile has no positive weights")
+    return best_key
+
+
+def minhash_signature(
+    counts: dict[int, int], seeds: list[int], bits: int
+) -> tuple[int, ...]:
+    """One finalised component per seed — the OR-construction signature."""
+    return tuple(
+        finalize_hash(weighted_minhash_sample(counts, seed), seed, bits)
+        for seed in seeds
+    )
+
+
+def emd_hash_window(emd: EMDHash, window: np.ndarray) -> tuple[int, ...]:
+    """EMD hash of one window: histogram, projection, sqrt, quantise."""
+    window = np.asarray(window, dtype=float)
+    if emd.normalise:
+        std = window.std()
+        window = (window - window.mean()) / std if std > 0 else window
+    histogram = signal_to_histogram(window, emd.n_bins, emd.value_range)
+    total = histogram.sum()
+    if total > 0:
+        histogram = histogram / total
+    components = []
+    for projection, offset in zip(emd._projections, emd._offsets):
+        value = np.sqrt(max(float(histogram @ projection), 0.0))
+        components.append(int(np.floor((value + offset) / emd.bucket_width)))
+    return tuple(components)
+
+
+def lsh_hash_window(family: LSHFamily, window: np.ndarray) -> tuple[int, ...]:
+    """The reference for ``family.hash_window`` and each ``hash_windows`` row."""
+    window = np.asarray(window, dtype=float)
+    if window.ndim != 1:
+        raise ConfigurationError("hash_window expects a single 1-D window")
+    if family._emd is not None:
+        return emd_hash_window(family._emd, window)
+    config = family.config
+    bits = sign_sketch(
+        window, family._projection, stride=config.stride,
+        normalise=config.normalise,
+    )
+    counts = ngram_counts(bits, config.ngram)
+    if not counts:
+        # window shorter than the sketch geometry: an empty profile
+        return tuple(0 for _ in family._seeds)
+    return minhash_signature(counts, family._seeds, config.bits)
+
+
+class OracleLSH(LSHFamily):
+    """An :class:`LSHFamily` whose every hash goes through :func:`lsh_hash_window`.
+
+    Drop it in where production code takes an ``lsh`` to run that code
+    on the reference hash.
+    """
+
+    def hash_window(self, window: np.ndarray) -> tuple[int, ...]:
+        return lsh_hash_window(self, window)
+
+    def hash_windows(self, windows: np.ndarray) -> np.ndarray:
+        batch = np.asarray(windows, dtype=float)
+        if batch.ndim != 2:
+            raise ConfigurationError("hash_windows expects (n_windows, samples)")
+        out = np.zeros((batch.shape[0], self.config.n_components), dtype=np.int64)
+        for i, row in enumerate(batch):
+            out[i] = lsh_hash_window(self, row)
+        return out
+
+    def hash_channels(self, windows: np.ndarray) -> list[tuple[int, ...]]:
+        return [lsh_hash_window(self, row) for row in np.asarray(windows, float)]
+
+
+# --- the query scan ----------------------------------------------------------------
+
+
+def _scan_node(
+    engine: QueryEngine,
+    node: int,
+    spec: QuerySpec,
+    window_range: tuple[int, int],
+    template: np.ndarray | None,
+    template_sig: tuple[int, ...] | None,
+) -> list[QueryResultRow]:
+    start, stop = window_range
+    controller = engine.controllers[node]
+    flags = engine.seizure_flags.get(node, set())
+    rows: list[QueryResultRow] = []
+    for electrode, window_index in controller.stored_windows():
+        if not start <= window_index < stop:
+            continue
+        if spec.kind == "q1" and window_index not in flags:
+            continue
+        samples = controller.read_window(electrode, window_index)
+        if spec.kind == "q2":
+            if spec.use_hash:
+                sig = lsh_hash_window(engine.lsh, samples.astype(float))
+                if not engine.lsh.matches(sig, template_sig):
+                    continue
+            elif dtw_distance(
+                samples.astype(float), template, engine.dtw_band
+            ) > engine.dtw_threshold:
+                continue
+        rows.append(QueryResultRow(node, electrode, window_index, samples))
+    return rows
+
+
+def query_run(
+    engine: QueryEngine,
+    spec: QuerySpec,
+    window_range: tuple[int, int],
+    *,
+    template: np.ndarray | None = None,
+    dead_nodes: set[int] | None = None,
+) -> DistributedQueryResult:
+    """The reference for ``engine.run``: one read plus one hash or DTW per window.
+
+    Never consults the signature cache; dead or erroring nodes land in
+    ``failed_nodes`` exactly as in :meth:`QueryEngine.run`.
+    """
+    if spec.kind == "q2" and template is None:
+        raise ConfigurationError("q2 needs a template window")
+    template_sig = (
+        lsh_hash_window(engine.lsh, template)
+        if spec.kind == "q2" and spec.use_hash
+        else None
+    )
+    dead = dead_nodes or set()
+    rows: list[QueryResultRow] = []
+    queried: list[int] = []
+    failed: list[int] = []
+    for node in range(len(engine.controllers)):
+        if node in dead:
+            failed.append(node)
+            continue
+        try:
+            node_rows = _scan_node(
+                engine, node, spec, window_range, template, template_sig
+            )
+        except ScaloError:
+            failed.append(node)
+        else:
+            rows.extend(node_rows)
+            queried.append(node)
+    return DistributedQueryResult(rows, queried, failed)

@@ -11,6 +11,7 @@ from repro.apps.seizure import (
 )
 from repro.errors import ConfigurationError
 from repro.hashing.lsh import LSHFamily
+from tests.oracles import OracleLSH
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +116,20 @@ class TestErrorKnobs:
             hash_error_rate=0.95, seed=5,
         ).run()
         assert len(noisy.confirmations) < len(clean.confirmations)
+
+    def test_hash_errors_match_oracle_run(self, small_recording, detector):
+        """Batched per-node hashing keeps the per-electrode RNG draw order."""
+        runs = [
+            SeizurePropagationSimulator(
+                small_recording, detector, lsh, dtw_threshold=250.0,
+                hash_error_rate=0.3, seed=5,
+            ).run()
+            for lsh in (LSHFamily.for_measure("dtw"),
+                        OracleLSH.for_measure("dtw"))
+        ]
+        production, oracle = runs
+        assert production.confirmations
+        assert production == oracle
 
     def test_bad_rates_rejected(self, small_recording, detector):
         lsh = LSHFamily.for_measure("dtw")

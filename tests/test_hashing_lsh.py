@@ -30,6 +30,13 @@ class TestLSHConfig:
         with pytest.raises(ConfigurationError):
             LSHConfig(n_components=4, min_matching=5)
 
+    def test_ngram_bounds(self):
+        # 12 bits = 4096 shingle values, the min-hash tables' limit
+        assert LSHConfig(ngram=12).ngram == 12
+        for ngram in (0, 13):
+            with pytest.raises(ConfigurationError):
+                LSHConfig(ngram=ngram)
+
     def test_for_measure_overrides(self):
         fam = LSHFamily.for_measure("dtw", seed=99)
         assert fam.config.seed == 99

@@ -13,7 +13,7 @@ from repro.compression.elias import (
 from repro.compression.hash_codec import dcomp_decompress, hcomp_compress
 from repro.compression.lz import lz_compress, lz_decompress
 from repro.compression.rle import rle_decode, rle_encode
-from repro.hashing.minhash import weighted_minhash_sample
+from repro.hashing.minhash import finalize_hash, minhash_signature_batch
 from repro.linalg.fixed import from_fixed, to_fixed
 from repro.linalg.inverse import gauss_jordan_inverse
 from repro.linalg.tiling import block_multiply, split_even
@@ -23,6 +23,7 @@ from repro.signal.features import haar_dwt, haar_idwt
 from repro.signal.windows import sliding_windows, window_count
 from repro.similarity.dtw import dtw_distance
 from repro.similarity.emd import emd_1d
+from tests.oracles import minhash_signature, weighted_minhash_sample
 
 # --- compression roundtrips ----------------------------------------------------
 
@@ -184,18 +185,51 @@ def test_emd_metric_properties(a, b):
     assert emd_1d(ha, hb) >= 0
 
 
-# --- min-hash consistency -------------------------------------------------------------
+# --- min-hash: production batch kernel vs the scalar oracle ------------------------
+
+_PROFILES = st.dictionaries(
+    st.integers(0, 63), st.integers(1, 20), min_size=1, max_size=20
+)
+
+
+def _profile_row(profile: dict[int, int]) -> np.ndarray:
+    keys = sorted(profile)
+    return np.repeat(keys, [profile[k] for k in keys])
 
 
 @settings(max_examples=50, deadline=None)
 @given(
-    st.dictionaries(st.integers(0, 63), st.integers(1, 20), min_size=1,
-                    max_size=20),
-    st.integers(0, 2**31),
+    st.lists(_PROFILES, min_size=1, max_size=4),
+    st.lists(st.integers(0, 2**31), min_size=1, max_size=4),
 )
+def test_minhash_batch_matches_oracle(profiles, seeds):
+    """Every row of the batch kernel equals the oracle signature.
+
+    Rows of one batch share a shingle count, so each shorter profile is
+    padded with weight on value 64, which no generated profile uses; the
+    oracle hashes the same padded profile.
+    """
+    width = max(sum(p.values()) for p in profiles)
+    padded = []
+    for profile in profiles:
+        filler = width - sum(profile.values())
+        padded.append({**profile, 64: filler} if filler else dict(profile))
+    rows = np.stack([_profile_row(p) for p in padded])
+    batch = minhash_signature_batch(rows, seeds, 8, 65)
+    for row, profile in zip(batch, padded):
+        assert tuple(int(c) for c in row) == minhash_signature(profile, seeds, 8)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_PROFILES, st.integers(0, 2**31))
 def test_minhash_selects_member(profile, seed):
     sample = weighted_minhash_sample(profile, seed)
     assert sample in profile
+    # the production kernel picks the same member (32-bit components
+    # make the finalised value identify the sample)
+    row = _profile_row(profile)[None, :]
+    (component,) = minhash_signature_batch(row, [seed], 32, 64)[0]
+    assert component == finalize_hash(sample, seed, 32)
 
 
 @settings(max_examples=30, deadline=None)
@@ -213,3 +247,11 @@ def test_minhash_monotone_under_union(profile, seed, extra_key):
     grown[extra_key] = grown.get(extra_key, 0) + 5
     after = weighted_minhash_sample(grown, seed)
     assert after == before or after == extra_key
+
+    def component(p):
+        return minhash_signature_batch(_profile_row(p)[None, :], [seed], 32,
+                                       64)[0, 0]
+
+    assert component(grown) == finalize_hash(after, seed, 32)
+    assert component(grown) in (component(profile),
+                                finalize_hash(extra_key, seed, 32))

@@ -1,12 +1,10 @@
-"""Batched query hot path: kernel equivalence, signature cache, shims.
+"""Query hot path: kernel equivalence and the signature cache.
 
-The batched kernels (`hash_windows`, `dtw_distance_batch`) and the cached
-query path promise *element-identical* results to the scalar reference
-implementations — these tests hold them to it, property-based where the
-input space is wide.
+The production kernels (`hash_window`/`hash_windows`, `dtw_distance_batch`)
+and the cached query scan promise *element-identical* results to the
+scalar references in `tests/oracles.py` — these tests hold them to it,
+property-based where the input space is wide.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -19,6 +17,7 @@ from repro.hashing.lsh import SUPPORTED_MEASURES, LSHFamily
 from repro.similarity.dtw import dtw_distance, dtw_distance_batch
 from repro.storage.controller import StorageController
 from repro.storage.nvm import PAGE_BYTES, NVMDevice
+from tests.oracles import lsh_hash_window, query_run
 
 CAPACITY = 16 * 1024 * 1024
 
@@ -31,7 +30,13 @@ def _windows(seed: int, n: int, length: int) -> np.ndarray:
     return out
 
 
-# --- kernel equivalence: batched == scalar, element for element ---------------
+# --- kernel equivalence: production == oracle, element for element ------------
+
+
+def _oracle_rows(family, batch):
+    return np.array(
+        [lsh_hash_window(family, row) for row in batch], dtype=np.int64
+    ).reshape(len(batch), family.config.n_components)
 
 
 class TestHashBatchEquivalence:
@@ -43,27 +48,38 @@ class TestHashBatchEquivalence:
         extra=st.integers(0, 80),
     )
     def test_hash_windows_matches_scalar(self, seed, measure, n, extra):
+        # row 0 of every multi-row batch has zero variance
         family = LSHFamily.for_measure(measure)
         length = family.config.sketch_window + extra if measure != "emd" \
             else 2 + extra
         batch = _windows(seed, n, length)
-        batched = family.hash_windows(batch)
-        scalar = np.array(
-            [family.hash_window(row) for row in batch], dtype=np.int64
-        )
-        assert np.array_equal(batched, scalar)
+        expected = _oracle_rows(family, batch)
+        assert np.array_equal(family.hash_windows(batch), expected)
+        assert [family.hash_window(row) for row in batch] == [
+            tuple(int(c) for c in row) for row in expected
+        ]
 
     @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5))
-    def test_quantised_windows_match_scalar(self, seed, n):
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+           measure=st.sampled_from(SUPPORTED_MEASURES))
+    def test_quantised_windows_match_scalar(self, seed, n, measure):
         # the signature-cache input: int16 round-tripped samples
-        family = LSHFamily.for_measure("dtw")
+        family = LSHFamily.for_measure(measure)
         quantised = _windows(seed, n, 120).astype("<i2").astype(float)
-        batched = family.hash_windows(quantised)
-        scalar = np.array(
-            [family.hash_window(row) for row in quantised], dtype=np.int64
+        assert np.array_equal(
+            family.hash_windows(quantised), _oracle_rows(family, quantised)
         )
-        assert np.array_equal(batched, scalar)
+
+    @pytest.mark.parametrize("measure", ["dtw", "euclidean", "xcor"])
+    def test_short_window_raises_on_both_sides(self, measure):
+        family = LSHFamily.for_measure(measure)
+        short = np.ones(family.config.sketch_window - 1)
+        with pytest.raises(ConfigurationError):
+            lsh_hash_window(family, short)
+        with pytest.raises(ConfigurationError):
+            family.hash_window(short)
+        with pytest.raises(ConfigurationError):
+            family.hash_windows(short[None, :])
 
     def test_matches_many_matches_scalar(self, rng):
         family = LSHFamily.for_measure("dtw")
@@ -85,6 +101,8 @@ class TestHashBatchEquivalence:
         family = LSHFamily.for_measure("dtw")
         with pytest.raises(ConfigurationError):
             family.hash_windows(np.zeros(120))
+        with pytest.raises(ConfigurationError):
+            family.hash_window(np.zeros((2, 120)))
 
 
 class TestDTWBatchEquivalence:
@@ -232,7 +250,7 @@ class TestSignatureCache:
         )
 
 
-# --- engine equivalence: scalar vs batched vs cache-warm ----------------------
+# --- engine equivalence: oracle scan vs cold scan vs cache-warm scan ----------
 
 
 def _fleet(seed: int = 0, n_nodes: int = 3, with_cache: bool = True):
@@ -265,13 +283,6 @@ def _fleet(seed: int = 0, n_nodes: int = 3, with_cache: bool = True):
     return engine, template
 
 
-def _row_keys(result):
-    return [
-        (row.node, row.electrode, row.window_index, row.samples.tobytes())
-        for row in result.rows
-    ]
-
-
 SPECS = [
     ("q1", QuerySpec("q1", 16.0), False),
     ("q2-hash", QuerySpec("q2", 16.0), True),
@@ -284,89 +295,46 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("label,spec,needs_template",
                              [(s[0], s[1], s[2]) for s in SPECS])
     def test_batched_equals_scalar(self, label, spec, needs_template):
-        engine, template = _fleet()
+        warm, template = _fleet(with_cache=True)
+        cold, _ = _fleet(with_cache=False)
         tpl = template if needs_template else None
-        scalar = dataclasses.replace(engine, batched=False)
-        cold = dataclasses.replace(engine, use_cache=False)
-        reference = _row_keys(scalar.run(spec, (0, 10), template=tpl))
-        assert _row_keys(cold.run(spec, (0, 10), template=tpl)) == reference
-        assert _row_keys(engine.run(spec, (0, 10), template=tpl)) == reference
+        reference = query_run(warm, spec, (0, 10), template=tpl).row_keys()
+        assert reference
+        assert cold.run(spec, (0, 10), template=tpl).row_keys() == reference
+        assert warm.run(spec, (0, 10), template=tpl).row_keys() == reference
 
     def test_warm_cache_equals_uncached_fleet(self):
         spec = QuerySpec("q2", 16.0)
         warm_engine, template = _fleet(with_cache=True)
         cold_engine, _ = _fleet(with_cache=False)
-        warm = _row_keys(warm_engine.run(spec, (0, 10), template=template))
-        cold = _row_keys(cold_engine.run(spec, (0, 10), template=template))
+        warm = warm_engine.run(spec, (0, 10), template=template).row_keys()
+        cold = cold_engine.run(spec, (0, 10), template=template).row_keys()
         assert warm == cold
 
     def test_identical_after_crash_and_recover(self):
         spec = QuerySpec("q2", 16.0)
         engine, template = _fleet()
-        before = _row_keys(engine.run(spec, (0, 10), template=template))
+        before = engine.run(spec, (0, 10), template=template).row_keys()
+        assert before == query_run(
+            engine, spec, (0, 10), template=template
+        ).row_keys()
         for controller in engine.controllers:
             controller.lose_sram()
             controller.recover()
-        assert _row_keys(engine.run(spec, (0, 10), template=template)) == before
+        assert engine.run(spec, (0, 10), template=template).row_keys() == before
         # and with the caches dropped outright (cold recompute path)
         for controller in engine.controllers:
             controller.invalidate_signatures()
-        assert _row_keys(engine.run(spec, (0, 10), template=template)) == before
+        assert engine.run(spec, (0, 10), template=template).row_keys() == before
 
     def test_dead_nodes_and_row_order(self):
         engine, template = _fleet()
-        result = engine.run(
-            QuerySpec("q2", 16.0), (0, 10), template=template,
-            dead_nodes={1},
-        )
+        spec = QuerySpec("q2", 16.0)
+        result = engine.run(spec, (0, 10), template=template, dead_nodes={1})
         assert result.failed_nodes == [1]
         assert result.degraded
-        scalar = dataclasses.replace(engine, batched=False)
-        assert _row_keys(result) == _row_keys(
-            scalar.run(QuerySpec("q2", 16.0), (0, 10), template=template,
-                       dead_nodes={1})
+        reference = query_run(
+            engine, spec, (0, 10), template=template, dead_nodes={1}
         )
-
-
-class TestDeprecatedShims:
-    def test_execute_warns_and_matches_run(self):
-        engine, template = _fleet()
-        expected = engine.run(
-            QuerySpec("q2", 16.0), (0, 10), template=template
-        )
-        with pytest.warns(DeprecationWarning, match="QueryEngine.run"):
-            rows = engine.execute(
-                QuerySpec("q2", 16.0), (0, 10), template=template
-            )
-        assert [
-            (r.node, r.electrode, r.window_index, r.samples.tobytes())
-            for r in rows
-        ] == _row_keys(expected)
-
-    def test_execute_resilient_warns_and_matches_run(self):
-        engine, template = _fleet()
-        expected = engine.run(
-            QuerySpec("q2", 16.0), (0, 10), template=template,
-            dead_nodes={2},
-        )
-        with pytest.warns(DeprecationWarning, match="QueryEngine.run"):
-            result = engine.execute_resilient(
-                QuerySpec("q2", 16.0), (0, 10), template=template,
-                dead_nodes={2},
-            )
-        assert _row_keys(result) == _row_keys(expected)
-        assert result.failed_nodes == expected.failed_nodes
-        assert result.queried_nodes == expected.queried_nodes
-
-    def test_execute_warning_points_at_caller(self):
-        """stacklevel=2: the warning names this file, not queries.py."""
-        engine, _ = _fleet()
-        with pytest.warns(DeprecationWarning) as record:
-            engine.execute(QuerySpec("q3", 16.0), (0, 10))
-        assert record[0].filename == __file__
-
-    def test_execute_resilient_warning_points_at_caller(self):
-        engine, _ = _fleet()
-        with pytest.warns(DeprecationWarning) as record:
-            engine.execute_resilient(QuerySpec("q3", 16.0), (0, 10))
-        assert record[0].filename == __file__
+        assert result.row_keys() == reference.row_keys()
+        assert result.queried_nodes == reference.queried_nodes
