@@ -344,7 +344,7 @@ def solve_schedule(
         seed: heuristic ordering seed (byte-identical per seed).
         telemetry: books ``scheduler.solves`` and the
             ``scheduler.ilp_solve_ms`` / ``scheduler.heuristic_solve_ms``
-            wall-clock histograms.
+            wall-clock series.
 
     Returns:
         The :class:`~repro.scheduler.ilp.Schedule`.

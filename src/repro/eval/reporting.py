@@ -2,7 +2,7 @@
 
 Besides the generic :func:`format_table`, this module renders telemetry:
 :func:`telemetry_summary` turns a metrics registry into counter/gauge/
-histogram tables and :func:`span_summary` aggregates a tracer's spans by
+observed-series tables and :func:`span_summary` aggregates a tracer's spans by
 name — the text the ``python -m repro trace`` CLI prints.
 """
 
@@ -48,7 +48,11 @@ def format_series(name: str, series: Mapping[object, float],
 
 
 def telemetry_summary(registry: "MetricsRegistry", precision: int = 2) -> str:
-    """Render a registry as counter / gauge / histogram tables."""
+    """Render a registry as counter / gauge / observed-series tables.
+
+    Observed series (the registry's sketches) print as a count/mean/
+    min/max table under the ``== histograms ==`` heading.
+    """
     from repro.telemetry import format_metric
 
     sections: list[str] = []
@@ -71,12 +75,12 @@ def telemetry_summary(registry: "MetricsRegistry", precision: int = 2) -> str:
     hist_rows = [
         (
             format_metric(name, labels),
-            hist.n,
-            hist.mean,
-            hist.min_value if hist.n else 0.0,
-            hist.max_value if hist.n else 0.0,
+            sketch.count,
+            sketch.mean,
+            sketch.min_value if sketch.count else 0.0,
+            sketch.max_value if sketch.count else 0.0,
         )
-        for name, labels, hist in registry.histograms()
+        for name, labels, sketch in registry.sketches()
     ]
     if hist_rows:
         sections.append("== histograms ==\n" + format_table(

@@ -176,7 +176,7 @@ def gap_sweep(
     Both sides time the full :meth:`SchedulerProblem.solve` path
     (constraint build included) so the comparison is end to end.  The
     timed solves run untelemetered — a live handle books spans and
-    histograms inside the solver, a fixed cost that would penalise a
+    solve-time samples inside the solver, a fixed cost that would penalise a
     150 us heuristic ~20x harder than the 2 ms LP — and the measured
     values are booked into ``telemetry`` afterwards: one
     ``scheduler.optimality_gap`` gauge per cell plus

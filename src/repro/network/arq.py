@@ -19,7 +19,7 @@ makes the sender retransmit a packet the application already saw.
 Observability: the link shares the network's injectable telemetry
 handle.  Every counter in :class:`ARQStats` is mirrored into the metrics
 registry under the ``arq.*`` namespace (``arq.retries``,
-``arq.acks_lost``, ``arq.backoff_ms``, the ``arq.attempts`` histogram),
+``arq.acks_lost``, ``arq.backoff_ms``, the ``arq.attempts`` series),
 and each retransmission opens an ``arq-retry`` span covering its backoff
 and burst, so recovery cost shows up inside the owning query's trace.
 """

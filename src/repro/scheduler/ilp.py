@@ -157,7 +157,7 @@ class SchedulerProblem:
     seed: int = 0
     #: observability handle: books ``scheduler.solves`` plus the
     #: wall-clock ``scheduler.ilp_solve_ms`` / ``scheduler.heuristic_solve_ms``
-    #: histograms around the chosen solver
+    #: series around the chosen solver
     telemetry: TelemetryLike = field(default=NULL_TELEMETRY, repr=False)
 
     def __post_init__(self) -> None:
@@ -245,7 +245,7 @@ class SchedulerProblem:
     def _solve_heuristic(
         self, cs: ConstraintSystem, solver: str
     ) -> np.ndarray:
-        """Run one heuristic under the heuristic wall-clock histogram."""
+        """Run one heuristic under the heuristic wall-clock timer."""
         from repro.scheduler.flowsched import MinCostFlowScheduler
         from repro.scheduler.heuristics import solve_greedy
 

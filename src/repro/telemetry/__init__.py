@@ -5,7 +5,7 @@ The subsystem has three moving parts, all keyed to *simulated* time
 host clock, except for the explicit wall-clock profiler):
 
 * :class:`~repro.telemetry.registry.MetricsRegistry` — counters, gauges,
-  fixed-bucket histograms;
+  and one quantile sketch per observed series;
 * :class:`~repro.telemetry.tracer.Tracer` — nested spans with trace-id
   propagation across node boundaries via packet metadata;
 * exporters — JSON, CSV, and Chrome trace-event format
@@ -29,8 +29,6 @@ from repro.telemetry.exporters import (
 )
 from repro.telemetry.profiler import WallClockProfiler
 from repro.telemetry.registry import (
-    DEFAULT_BUCKET_EDGES,
-    Histogram,
     MetricsRegistry,
     format_metric,
     label_key,
@@ -38,8 +36,6 @@ from repro.telemetry.registry import (
 from repro.telemetry.tracer import Span, TraceContext, Tracer
 
 __all__ = [
-    "DEFAULT_BUCKET_EDGES",
-    "Histogram",
     "MetricsRegistry",
     "NULL_TELEMETRY",
     "NullTelemetry",

@@ -138,7 +138,11 @@ def write_chrome_trace(tracer: Tracer, path: str | pathlib.Path) -> pathlib.Path
 def write_metrics_csv(
     registry: MetricsRegistry, path: str | pathlib.Path
 ) -> pathlib.Path:
-    """Flat CSV: one row per counter/gauge cell and per histogram summary."""
+    """Flat CSV: one row per counter/gauge cell and per observed series.
+
+    Observed series keep the row kind ``histogram``: it names the
+    count/sum/min/max summary row, which the sketch carries.
+    """
     path = pathlib.Path(path)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
@@ -151,15 +155,15 @@ def write_metrics_csv(
             writer.writerow(
                 ["gauge", format_metric(name, labels), value, "", "", ""]
             )
-        for name, labels, hist in registry.histograms():
+        for name, labels, sketch in registry.sketches():
             writer.writerow(
                 [
                     "histogram",
                     format_metric(name, labels),
-                    hist.total,
-                    hist.n,
-                    hist.min_value if hist.n else "",
-                    hist.max_value if hist.n else "",
+                    sketch.total,
+                    sketch.count,
+                    sketch.min_value if sketch.count else "",
+                    sketch.max_value if sketch.count else "",
                 ]
             )
     return path

@@ -1,9 +1,9 @@
 """A deterministic, mergeable quantile sketch (DDSketch-style).
 
-Fixed-bucket histograms answer "how many observations fell in [a, b)?"
-but their quantiles are only as good as the bucket grid — and two
-nodes' histograms only merge if they were declared with identical
-edges.  A *relative-error* sketch instead buckets values on a geometric
+This is the metrics registry's one store for observed values.  A
+fixed-bucket histogram's quantiles are only as good as its bucket grid,
+and two nodes' histograms only merge if they share identical edges.  A
+*relative-error* sketch instead buckets values on a geometric
 ladder ``gamma**k`` with ``gamma = (1 + alpha) / (1 - alpha)``: any
 quantile estimate is then within a factor ``(1 ± alpha)`` of the true
 value, regardless of scale, and two sketches with the same ``alpha``
@@ -49,8 +49,9 @@ class QuantileSketch:
 
     Positive and negative values live in mirrored geometric stores;
     zeros (and magnitudes below :data:`MIN_INDEXABLE`) are counted
-    exactly.  ``sum``/``min``/``max`` ride along so means and extremes
-    survive export, exactly as the legacy histogram's did.
+    exactly.  ``total``/``min_value``/``max_value`` ride along so means
+    and extremes survive export; the extremes keep the observed value's
+    type, so an integer series exports ``3``, not ``3.0``.
     """
 
     relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY
@@ -94,7 +95,6 @@ class QuantileSketch:
         """Record ``value`` (``n`` times)."""
         if n < 1:
             raise ConfigurationError("observation count must be positive")
-        value = float(value)
         if value != value:  # NaN
             raise ConfigurationError("cannot observe NaN")
         if abs(value) <= MIN_INDEXABLE:

@@ -5,7 +5,7 @@ module measures how long the *host* Python actually spends in a hot loop
 (`perf_counter` around the block), so a report can put simulated cost and
 real cost side by side — e.g. the ILP solve is free in simulated time but
 dominates the wall clock.  Observations land in the shared registry as
-ordinary histogram metrics (``scheduler.ilp_solve_ms`` and friends), so
+ordinary observed series (``scheduler.ilp_solve_ms`` and friends), so
 the exporters need no special casing.
 """
 

@@ -1,4 +1,4 @@
-"""Label-aware metrics registry: counters, gauges, fixed-bucket histograms.
+"""Label-aware metrics registry: counters, gauges, quantile sketches.
 
 All values are keyed by ``(metric name, sorted label tuple)`` so that two
 call sites reporting ``pe.busy_us{pe=DTW}`` land in the same cell no
@@ -14,12 +14,11 @@ Metric naming scheme (see DESIGN.md "Telemetry & tracing"):
 * ``*_ms`` / ``*_us`` suffixes mark time quantities; bare names count
   events.  Simulated-time metrics come from the scenario's
   :class:`~repro.telemetry.clock.SimClock`; the only wall-clock metrics
-  are the ``scheduler.ilp_solve_ms`` style profiler observations.
+  are the profiler's ``scheduler.*_solve_ms`` observations.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -28,13 +27,6 @@ from repro.telemetry.health.sketch import QuantileSketch
 
 #: Label set canonicalised to a hashable, deterministically-ordered key.
 LabelKey = tuple[tuple[str, str], ...]
-
-#: Default histogram bucket edges: a geometric ladder wide enough for both
-#: microsecond spans and millisecond solve times.
-DEFAULT_BUCKET_EDGES = (
-    0.01, 0.1, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0,
-    100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0,
-)
 
 
 def label_key(labels: dict[str, object]) -> LabelKey:
@@ -60,121 +52,21 @@ def format_metric(name: str, labels: LabelKey) -> str:
 
 
 @dataclass
-class Histogram:
-    """A fixed-bucket histogram.
-
-    ``counts[i]`` holds observations ``v`` with
-    ``edges[i-1] < v <= edges[i]`` (``v <= edges[0]`` for the first
-    bucket); ``counts[-1]`` is the overflow bucket for ``v > edges[-1]``.
-    Sum/count/min/max ride along so means survive export.
-    """
-
-    edges: tuple[float, ...]
-    counts: list[int] = field(default_factory=list)
-    total: float = 0.0
-    n: int = 0
-    min_value: float = float("inf")
-    max_value: float = float("-inf")
-
-    def __post_init__(self) -> None:
-        if not self.edges:
-            raise ConfigurationError("histogram needs at least one edge")
-        if list(self.edges) != sorted(self.edges):
-            raise ConfigurationError("histogram edges must be ascending")
-        if len(set(self.edges)) != len(self.edges):
-            raise ConfigurationError("histogram edges must be distinct")
-        if not self.counts:
-            self.counts = [0] * (len(self.edges) + 1)
-
-    def bucket_index(self, value: float) -> int:
-        """First bucket whose upper edge admits ``value`` (last = overflow)."""
-        for i, edge in enumerate(self.edges):
-            if value <= edge:
-                return i
-        return len(self.edges)
-
-    def observe(self, value: float) -> None:
-        self.counts[self.bucket_index(value)] += 1
-        self.total += value
-        self.n += 1
-        self.min_value = min(self.min_value, value)
-        self.max_value = max(self.max_value, value)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.n if self.n else 0.0
-
-    def quantile(self, q: float, *, interpolate: bool = True) -> float:
-        """Estimate the ``q``-quantile from the bucket counts.
-
-        With ``interpolate=True`` (the default) the estimate is placed
-        *within* the admitting bucket by linear interpolation on the
-        rank, clamped to the observed ``[min, max]``; its error is
-        bounded by that bucket's width.  ``interpolate=False`` keeps
-        the legacy answer — the bucket's upper edge — which is biased
-        upward by up to a full bucket width (a p50 of uniform 0.5–1 ms
-        data used to report exactly 1.0 ms).  Sketch-backed quantiles
-        (:meth:`MetricsRegistry.quantile`) carry a relative-error bound
-        instead and are preferred where available.
-        """
-        if not 0 < q <= 1:
-            raise ConfigurationError(f"quantile must be in (0, 1], got {q}")
-        if self.n == 0:
-            return 0.0
-        rank = max(1, math.ceil(q * self.n))
-        seen = 0
-        for i, count in enumerate(self.counts):
-            if count == 0 or seen + count < rank:
-                seen += count
-                continue
-            if i < len(self.edges):
-                upper = self.edges[i]
-                lower = self.edges[i - 1] if i > 0 else self.min_value
-            else:  # overflow bucket: all we know is (last edge, max]
-                upper = self.max_value
-                lower = self.edges[-1]
-            if not interpolate:
-                return upper
-            lower = min(max(lower, self.min_value), upper)
-            estimate = lower + (upper - lower) * ((rank - seen) / count)
-            return min(max(estimate, self.min_value), self.max_value)
-        return self.max_value
-
-    def as_dict(self) -> dict:
-        return {
-            "edges": list(self.edges),
-            "counts": list(self.counts),
-            "sum": self.total,
-            "count": self.n,
-            "min": self.min_value if self.n else None,
-            "max": self.max_value if self.n else None,
-        }
-
-
-@dataclass
 class MetricsRegistry:
-    """Counters, gauges, histograms, and quantile sketches for one run.
+    """Counters, gauges, and quantile sketches for one run.
 
-    ``observe()`` dual-writes every sample: into the fixed-bucket
-    :class:`Histogram` (the PR-2 export surface, kept byte-compatible)
-    and into a mergeable
-    :class:`~repro.telemetry.health.sketch.QuantileSketch`, which is
-    what quantile readers should prefer — its error is *relative*
-    (±1 % by default at any magnitude) rather than bucket-width bound,
-    and sketches from different nodes/labels merge exactly.
+    ``observe()`` records every sample in one mergeable
+    :class:`~repro.telemetry.health.sketch.QuantileSketch` per series.
+    The sketch carries count/sum/min/max for the exporters, and its
+    quantiles are within ±1 % relative error at any magnitude;
+    sketches from different nodes/labels merge exactly.
     """
 
     _counters: dict[tuple[str, LabelKey], float] = field(default_factory=dict)
     _gauges: dict[tuple[str, LabelKey], float] = field(default_factory=dict)
-    _histograms: dict[tuple[str, LabelKey], Histogram] = field(
-        default_factory=dict
-    )
     _sketches: dict[tuple[str, LabelKey], QuantileSketch] = field(
         default_factory=dict
     )
-    _declared_edges: dict[str, tuple[float, ...]] = field(default_factory=dict)
-    #: relative-error bound for newly created sketches
-    sketch_accuracy: float = 0.01
 
     # -- writes -------------------------------------------------------------------
 
@@ -188,23 +80,11 @@ class MetricsRegistry:
     def set_gauge(self, name: str, value: float, **labels: object) -> None:
         self._gauges[(name, label_key(labels))] = float(value)
 
-    def declare_histogram(self, name: str, edges: tuple[float, ...]) -> None:
-        """Pin the bucket edges all series of ``name`` will use."""
-        Histogram(tuple(edges))  # validate eagerly
-        self._declared_edges[name] = tuple(edges)
-
     def observe(self, name: str, value: float, **labels: object) -> None:
         key = (name, label_key(labels))
-        hist = self._histograms.get(key)
-        if hist is None:
-            edges = self._declared_edges.get(name, DEFAULT_BUCKET_EDGES)
-            hist = self._histograms[key] = Histogram(edges)
-        hist.observe(value)
         sketch = self._sketches.get(key)
         if sketch is None:
-            sketch = self._sketches[key] = QuantileSketch(
-                relative_accuracy=self.sketch_accuracy
-            )
+            sketch = self._sketches[key] = QuantileSketch()
         sketch.observe(value)
 
     # -- reads --------------------------------------------------------------------
@@ -215,25 +95,8 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels: object) -> float:
         return self._gauges.get((name, label_key(labels)), 0.0)
 
-    def histogram(self, name: str, **labels: object) -> Histogram | None:
-        return self._histograms.get((name, label_key(labels)))
-
     def sketch(self, name: str, **labels: object) -> QuantileSketch | None:
         return self._sketches.get((name, label_key(labels)))
-
-    def quantile(self, name: str, q: float, **labels: object) -> float:
-        """The preferred quantile reader: sketch first, histogram fallback.
-
-        The sketch answer is within the registry's relative-error
-        bound; the histogram fallback (for series observed before
-        sketches existed, e.g. restored snapshots) is interpolated and
-        bucket-width bound.  Returns 0.0 for unknown series.
-        """
-        sketch = self.sketch(name, **labels)
-        if sketch is not None and sketch.count:
-            return sketch.quantile(q)
-        hist = self.histogram(name, **labels)
-        return hist.quantile(q) if hist is not None else 0.0
 
     def counters(self) -> Iterator[tuple[str, LabelKey, float]]:
         for (name, labels), value in sorted(self._counters.items()):
@@ -249,10 +112,6 @@ class MetricsRegistry:
     def gauges(self) -> Iterator[tuple[str, LabelKey, float]]:
         for (name, labels), value in sorted(self._gauges.items()):
             yield name, labels, value
-
-    def histograms(self) -> Iterator[tuple[str, LabelKey, Histogram]]:
-        for (name, labels), hist in sorted(self._histograms.items()):
-            yield name, labels, hist
 
     def sketches(self) -> Iterator[tuple[str, LabelKey, QuantileSketch]]:
         for (name, labels), sketch in sorted(self._sketches.items()):
@@ -277,10 +136,6 @@ class MetricsRegistry:
             "gauges": {
                 format_metric(name, labels): value
                 for name, labels, value in self.gauges()
-            },
-            "histograms": {
-                format_metric(name, labels): hist.as_dict()
-                for name, labels, hist in self.histograms()
             },
             "sketches": {
                 format_metric(name, labels): sketch.as_dict()

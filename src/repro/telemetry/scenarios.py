@@ -137,7 +137,7 @@ def fig9a_scenario(
 
     Simulated time stands still here (the scheduler is analytical); the
     interesting numbers are the wall-clock ``scheduler.ilp_solve_ms``
-    histogram and the per-solve gauges.  ``seed`` is accepted for
+    series and the per-solve gauges.  ``seed`` is accepted for
     interface uniformity — the workload is deterministic by construction.
     """
     del seed

@@ -23,6 +23,7 @@ from repro.eval.chaos import (
     ChaosConfig,
     run_storm,
 )
+from repro.eval.reporting import telemetry_summary
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry.exporters import chrome_trace_events, telemetry_json
 from repro.telemetry.health import (
@@ -36,7 +37,7 @@ from repro.telemetry.health import (
     SLO,
     SLOEngine,
 )
-from repro.telemetry.registry import Histogram, MetricsRegistry
+from repro.telemetry.registry import MetricsRegistry
 
 
 def _true_quantile(values: list[float], q: float) -> float:
@@ -385,48 +386,6 @@ class TestFlightRecorder:
         assert bundle["quantiles"]["serving.latency_ms"]["p99"] == 120.0
 
 
-class TestHistogramInterpolation:
-    def _uniform_histogram(self):
-        hist = Histogram(edges=(0.5, 1.0, 2.0))
-        rng = random.Random(0)
-        values = [rng.uniform(0.5, 1.0) for _ in range(500)]
-        for v in values:
-            hist.observe(v)
-        return hist, values
-
-    def test_legacy_path_returns_upper_edge(self):
-        hist, _ = self._uniform_histogram()
-        # every value lands in (0.5, 1.0]; the legacy answer is its edge
-        assert hist.quantile(0.5, interpolate=False) == 1.0
-
-    def test_interpolated_estimate_is_inside_bucket(self):
-        hist, values = self._uniform_histogram()
-        true = _true_quantile(values, 0.5)
-        estimate = hist.quantile(0.5)
-        assert 0.5 < estimate < 1.0
-        # error bounded by the bucket width, and far better in practice
-        assert abs(estimate - true) < 0.5
-        assert abs(estimate - true) < abs(1.0 - true)
-
-    def test_clamped_to_observed_range(self):
-        hist = Histogram(edges=(10.0, 100.0))
-        hist.observe(40.0)
-        hist.observe(42.0)
-        assert 40.0 <= hist.quantile(0.5) <= 42.0
-        assert hist.quantile(1.0) <= 42.0
-
-    def test_overflow_bucket_uses_max(self):
-        hist = Histogram(edges=(1.0,))
-        hist.observe(5.0)
-        hist.observe(7.0)
-        assert hist.quantile(1.0) == 7.0
-        assert hist.quantile(1.0, interpolate=False) == 7.0
-
-    def test_empty_histogram(self):
-        hist = Histogram(edges=(1.0,))
-        assert hist.quantile(0.5) == 0.0
-
-
 class TestRegistrySketches:
     def test_observe_feeds_sketch_and_histogram(self):
         reg = MetricsRegistry()
@@ -434,10 +393,16 @@ class TestRegistrySketches:
             reg.observe("m", v, node=0)
         sk = reg.sketch("m", node=0)
         assert sk is not None and sk.count == 3
-        assert reg.quantile("m", 0.5, node=0) == pytest.approx(2.0, rel=0.02)
+        assert sk.quantile(0.5) == pytest.approx(2.0, rel=0.02)
+        # the sketch is also what the "histogram" summary row exports
+        (row,) = [line.split() for line in telemetry_summary(reg).splitlines()
+                  if line.startswith("m{node=0}")]
+        assert row == ["m{node=0}", "3", "2.00", "1.00", "3.00"]
 
     def test_quantile_unknown_metric_is_zero(self):
-        assert MetricsRegistry().quantile("nope", 0.5) == 0.0
+        reg = MetricsRegistry()
+        assert reg.sketch("nope") is None
+        assert (reg.sketch("nope") or QuantileSketch()).quantile(0.5) == 0.0
 
     def test_snapshot_includes_sketches(self):
         reg = MetricsRegistry()

@@ -220,8 +220,8 @@ class TestSchedulerTelemetry:
         max_throughput_mbps(seizure_detection_task(), 4, 15.0, telemetry=tel)
         reg = tel.registry
         assert reg.counter("scheduler.solves") == 1.0
-        hist = reg.histogram("scheduler.ilp_solve_ms")
-        assert hist is not None and hist.n >= 1
+        sketch = reg.sketch("scheduler.ilp_solve_ms")
+        assert sketch is not None and sketch.count >= 1
 
     def test_sweep_books_one_solve_per_cell(self):
         from repro.eval.throughput import fig8b

@@ -72,16 +72,16 @@ class TestSolverDispatch:
         SchedulerProblem(n_nodes=n, flows=_fig9_flows(), solver="auto",
                          telemetry=telemetry).solve()
         reg = telemetry.registry
-        assert reg.histogram("scheduler.ilp_solve_ms") is not None
-        assert reg.histogram("scheduler.heuristic_solve_ms") is None
+        assert reg.sketch("scheduler.ilp_solve_ms") is not None
+        assert reg.sketch("scheduler.heuristic_solve_ms") is None
 
     def test_auto_fleet_scale_runs_a_heuristic(self):
         telemetry = Telemetry()
         SchedulerProblem(n_nodes=64, flows=_fig9_flows(), solver="auto",
                          telemetry=telemetry).solve()
         reg = telemetry.registry
-        assert reg.histogram("scheduler.heuristic_solve_ms") is not None
-        assert reg.histogram("scheduler.ilp_solve_ms") is None
+        assert reg.sketch("scheduler.heuristic_solve_ms") is not None
+        assert reg.sketch("scheduler.ilp_solve_ms") is None
         assert reg.counter("scheduler.auto_ilp_fallbacks") == 0
         assert reg.counter("scheduler.solves") == 1
 
@@ -293,9 +293,9 @@ class TestFailoverRepair:
         event = manager.step()
         assert event is not None
         assert reg.counter("scheduler.repairs") >= 1
-        assert reg.histogram("scheduler.repair_solve_ms") is not None
+        assert reg.sketch("scheduler.repair_solve_ms") is not None
         # the incremental path never touches the LP
-        assert reg.histogram("scheduler.ilp_solve_ms") is None
+        assert reg.sketch("scheduler.ilp_solve_ms") is None
         assert reg.counter("scheduler.repair_fallbacks") == 0
 
     def test_repaired_schedule_is_feasible_at_reduced_size(self):
@@ -315,15 +315,15 @@ class TestFailoverRepair:
                              telemetry=telemetry)
         system.reschedule(_fig9_flows(), solver="greedy")
         reg = telemetry.registry
-        assert reg.histogram("scheduler.heuristic_solve_ms") is not None
-        assert reg.histogram("scheduler.ilp_solve_ms") is None
+        assert reg.sketch("scheduler.heuristic_solve_ms") is not None
+        assert reg.sketch("scheduler.ilp_solve_ms") is None
 
     def test_system_solver_policy_is_the_default(self):
         telemetry = Telemetry()
         system = ScaloSystem(n_nodes=48, electrodes_per_node=2, seed=0,
                              scheduler_solver="auto", telemetry=telemetry)
         system.reschedule(_fig9_flows())
-        assert (telemetry.registry.histogram("scheduler.heuristic_solve_ms")
+        assert (telemetry.registry.sketch("scheduler.heuristic_solve_ms")
                 is not None)
 
 

@@ -1,10 +1,10 @@
 """Tests for the telemetry subsystem: registry, tracer, exporters, CLI.
 
-Covers the PR's acceptance criteria: histogram bucket-edge semantics,
-span nesting/ordering determinism under a fixed seed, Chrome-trace JSON
-schema validity, the NullTelemetry zero-impact regression (byte-identical
-event logs, per PR 1's determinism guarantee), and the end-to-end traced
-distributed query.
+Covers the PR's acceptance criteria: the registry's one store per
+observed series, span nesting/ordering determinism under a fixed seed,
+Chrome-trace JSON schema validity, the NullTelemetry zero-impact
+regression (byte-identical event logs, per PR 1's determinism
+guarantee), and the end-to-end traced distributed query.
 """
 
 import json
@@ -15,7 +15,6 @@ from repro.errors import ConfigurationError
 from repro.network.arq import ARQConfig
 from repro.telemetry import (
     NULL_TELEMETRY,
-    Histogram,
     MetricsRegistry,
     NullTelemetry,
     SimClock,
@@ -33,55 +32,6 @@ from repro.telemetry.scenarios import SCENARIOS, run_scenario
 #: end-to-end acceptance criterion needs retries *inside* the query
 #: trace, not merely somewhere in the session).
 QUERY_RETRY_SEED = 2
-
-
-class TestHistogramBuckets:
-    """Bucket-edge semantics: counts[i] holds edges[i-1] < v <= edges[i]."""
-
-    def test_edges_are_upper_inclusive(self):
-        hist = Histogram(edges=(1.0, 2.0, 4.0))
-        assert hist.bucket_index(0.5) == 0
-        assert hist.bucket_index(1.0) == 0  # on-edge lands below
-        assert hist.bucket_index(1.0000001) == 1
-        assert hist.bucket_index(2.0) == 1
-        assert hist.bucket_index(4.0) == 2
-        assert hist.bucket_index(4.0000001) == 3  # overflow
-
-    def test_counts_cover_edges_plus_overflow(self):
-        hist = Histogram(edges=(1.0, 2.0, 4.0))
-        assert len(hist.counts) == 4
-        for v in (0.5, 1.0, 3.0, 100.0):
-            hist.observe(v)
-        assert hist.counts == [2, 0, 1, 1]
-        assert hist.n == 4
-        assert hist.mean == pytest.approx((0.5 + 1.0 + 3.0 + 100.0) / 4)
-        assert hist.min_value == 0.5
-        assert hist.max_value == 100.0
-
-    def test_as_dict_round_trips_through_json(self):
-        hist = Histogram(edges=(1.0, 10.0))
-        hist.observe(5.0)
-        doc = json.loads(json.dumps(hist.as_dict()))
-        assert doc["counts"] == [0, 1, 0]
-        assert doc["count"] == 1
-
-    def test_empty_histogram_reports_none_extremes(self):
-        assert Histogram(edges=(1.0,)).as_dict()["min"] is None
-
-    def test_invalid_edges_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Histogram(edges=())
-        with pytest.raises(ConfigurationError):
-            Histogram(edges=(2.0, 1.0))
-        with pytest.raises(ConfigurationError):
-            Histogram(edges=(1.0, 1.0))
-
-    def test_declared_edges_apply_to_new_series(self):
-        reg = MetricsRegistry()
-        reg.declare_histogram("x", (1.0, 2.0))
-        reg.observe("x", 1.5, pe="DTW")
-        hist = reg.histogram("x", pe="DTW")
-        assert hist is not None and hist.edges == (1.0, 2.0)
 
 
 class TestRegistry:
@@ -110,6 +60,18 @@ class TestRegistry:
         reg.inc("a", 2.0, z="1", a="2")
         snap = reg.snapshot()
         assert list(snap["counters"]) == ["a{a=2,z=1}", "b"]
+
+    def test_observe_writes_one_sketch_per_series(self):
+        reg = MetricsRegistry()
+        for v in (1, 3, 2):
+            reg.observe("arq.attempts", v, node=0)
+        snap = reg.snapshot()
+        assert set(snap) == {"counters", "gauges", "sketches"}
+        cell = snap["sketches"]["arq.attempts{node=0}"]
+        assert (cell["count"], cell["sum"]) == (3, 6.0)
+        # extremes keep the observed type: an int series exports 1, not 1.0
+        assert (cell["min"], cell["max"]) == (1, 3)
+        assert type(cell["min"]) is int
 
 
 class TestTracerNesting:
