@@ -262,7 +262,8 @@ class NVMDevice:
         energy is booked: rot is physics, not an operation.
 
         Returns:
-            The number of bits flipped.
+            The number of bits flipped.  A position listed twice flips
+            back, so only positions listed an odd number of times count.
         """
         from repro.network.channel import flip_bits
 
@@ -275,7 +276,8 @@ class NVMDevice:
         if idx.size == 0:
             return 0
         self._pages[page_index] = flip_bits(self._pages[page_index], idx)
-        return int(idx.size)
+        _, counts = np.unique(idx, return_counts=True)
+        return int(np.count_nonzero(counts & 1))
 
     # -- derived rates ------------------------------------------------------------
 

@@ -12,9 +12,16 @@ equal to theirs, element for element.
 Only :func:`~repro.hashing.minhash._uniform01` and
 :func:`~repro.hashing.minhash.finalize_hash` are shared with production:
 they define the values the production lookup tables hold.
+
+The SECDED page code works the same way: production folds packed masks
+and popcounts the result; :func:`ecc_syndrome_parity` unpacks every bit
+and XORs the 1-based indices of the set ones, and
+:func:`ecc_decode_page` applies the documented decision table to it.
 """
 
 from __future__ import annotations
+
+import zlib
 
 import numpy as np
 
@@ -28,6 +35,7 @@ from repro.errors import ConfigurationError, ScaloError
 from repro.hashing.emd_hash import EMDHash
 from repro.hashing.lsh import LSHFamily
 from repro.hashing.minhash import _uniform01, finalize_hash
+from repro.recovery.ecc import DecodeResult, PageECC
 from repro.similarity.dtw import dtw_distance
 from repro.similarity.emd import signal_to_histogram
 
@@ -250,3 +258,37 @@ def query_run(
             rows.extend(node_rows)
             queried.append(node)
     return DistributedQueryResult(rows, queried, failed)
+
+
+# --- the SECDED page code ------------------------------------------------------------
+
+
+def ecc_syndrome_parity(data: bytes) -> tuple[int, int]:
+    """XOR of the 1-based indices of the set bits (MSB first), and their parity."""
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    positions = np.flatnonzero(bits).astype(np.int64) + 1
+    if positions.size == 0:
+        return 0, 0
+    return int(np.bitwise_xor.reduce(positions)), int(positions.size & 1)
+
+
+def ecc_decode_page(data: bytes, ecc: PageECC) -> DecodeResult:
+    """The reference for ``decode_page``, on :func:`ecc_syndrome_parity`."""
+    syndrome, parity = ecc_syndrome_parity(data)
+    ds = ecc.syndrome ^ syndrome
+    dp = ecc.parity ^ parity
+    crc_ok = zlib.crc32(data) == ecc.crc
+    if ds == 0 and dp == 0:
+        if crc_ok:
+            return DecodeResult(data, 0, True)
+        return DecodeResult(data, 0, False, "crc mismatch, syndrome clean")
+    if dp == 0:
+        return DecodeResult(data, 0, False, "double-bit error")
+    if not 1 <= ds <= 8 * len(data):
+        return DecodeResult(data, 0, False, "syndrome out of range")
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    bits[ds - 1] ^= 1
+    fixed = np.packbits(bits).tobytes()
+    if zlib.crc32(fixed) == ecc.crc:
+        return DecodeResult(fixed, 1, True)
+    return DecodeResult(data, 0, False, "miscorrection (>=3 flips)")

@@ -458,6 +458,18 @@ class TestNVMBitRot:
         assert device.inject_bit_rot(0, np.array([0])) == 1
         assert device.read(0, 0, 8)[0] == 0x80
 
+    def test_repeated_index_flips_twice_and_counts_zero(self):
+        from repro.storage.nvm import NVMDevice
+
+        device = NVMDevice(capacity_bytes=2 * 1024 * 1024, ecc_enabled=False)
+        device.program_page(0, b"\x00" * 64)
+        # bit 5 listed twice cancels out; only bit 9 ends up flipped
+        assert device.inject_bit_rot(0, np.array([5, 9, 5])) == 1
+        assert device.read(0, 0, 8) == b"\x00\x40" + bytes(6)
+        assert device.inject_bit_rot(0, np.array([3, 3])) == 0
+        assert device.inject_bit_rot(0, np.array([9, 9, 9])) == 1
+        assert device.read(0, 0, 8) == bytes(8)
+
     def test_ecc_corrects_single_bit_rot_on_read(self):
         from repro.storage.nvm import NVMDevice
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.queries import QuerySpec
@@ -11,7 +11,7 @@ from repro.errors import ConfigurationError, UncorrectableError
 from repro.network.arq import ARQConfig
 from repro.network.channel import flip_bits
 from repro.network.packet import PayloadKind
-from repro.recovery.ecc import compute_ecc, decode_page
+from repro.recovery.ecc import _syndrome_parity, compute_ecc, decode_page
 from repro.recovery.journal import (
     JournalRecord,
     RecordType,
@@ -23,6 +23,7 @@ from repro.storage.nvm import PAGE_BYTES, NVMDevice
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry.scenarios import recovery_session
 from repro.units import WINDOW_SAMPLES
+from tests.oracles import ecc_decode_page, ecc_syndrome_parity
 
 
 def _page(seed=0, n=PAGE_BYTES):
@@ -72,6 +73,63 @@ class TestPageECC:
         result = decode_page(damaged, compute_ecc(data))
         assert result.ok
         assert result.data == data
+
+    def test_even_weight_zero_syndrome_caught_by_crc(self):
+        # 1-based indices 1, 2, 4, 7 XOR to 0 and the weight is even:
+        # invisible to the Hamming code, so only the CRC flags it
+        data = _page(4)
+        damaged = flip_bits(data, np.array([0, 1, 3, 6]))
+        result = decode_page(damaged, compute_ecc(data))
+        assert not result.ok
+        assert result.detail == "crc mismatch, syndrome clean"
+        assert result.data == damaged
+
+    def test_syndrome_out_of_range_flagged(self):
+        # 1-based indices 256, 257, 512 XOR to 513, past a 64-byte page's
+        # 512 positions; odd weight, so it looks like a single flip
+        data = _page(5, n=64)
+        damaged = flip_bits(data, np.array([255, 256, 511]))
+        result = decode_page(damaged, compute_ecc(data))
+        assert not result.ok
+        assert result.detail == "syndrome out of range"
+        assert result.data == damaged
+
+
+class TestSyndromeKernel:
+    """The fold-and-popcount kernel against the bit-by-bit oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_bytes=st.integers(0, PAGE_BYTES), seed=st.integers(0, 2**32 - 1))
+    @example(n_bytes=0, seed=0)
+    @example(n_bytes=7, seed=0)  # shorter than one word
+    @example(n_bytes=9, seed=0)  # one byte past a word boundary
+    @example(n_bytes=65, seed=0)
+    @example(n_bytes=PAGE_BYTES - 1, seed=0)
+    def test_matches_oracle_at_every_length(self, n_bytes, seed):
+        data = _page(seed, n=n_bytes)
+        assert _syndrome_parity(data) == ecc_syndrome_parity(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [bytes(PAGE_BYTES), b"\xff" * PAGE_BYTES, _page(6)],
+        ids=["zeros", "ones", "random"],
+    )
+    def test_matches_oracle_on_full_pages(self, data):
+        assert _syndrome_parity(data) == ecc_syndrome_parity(data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_bytes=st.sampled_from([1, 13, 64, PAGE_BYTES]),
+        seed=st.integers(0, 2**32 - 1),
+        flips=st.lists(st.integers(0, 8 * PAGE_BYTES - 1), max_size=4, unique=True),
+    )
+    def test_decode_matches_oracle(self, n_bytes, seed, flips):
+        data = _page(seed, n=n_bytes)
+        ecc = compute_ecc(data)
+        assert (ecc.syndrome, ecc.parity) == ecc_syndrome_parity(data)
+        positions = sorted({bit % (8 * n_bytes) for bit in flips})
+        damaged = flip_bits(data, np.array(positions, dtype=np.int64))
+        assert decode_page(damaged, ecc) == ecc_decode_page(damaged, ecc)
 
 
 class TestWriteAheadJournal:
