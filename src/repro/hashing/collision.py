@@ -3,12 +3,22 @@
 When hashes arrive from a remote node, CCHECK sorts them in its SRAM
 registers and checks them against the local hashes of a configurable past
 horizon (e.g. the last 100 ms) with binary search (paper §3.2).
+
+The sort-and-search is the PE being modelled; its latency and power
+come from the ``CCHECK`` entry of the PE catalog
+(:mod:`repro.hardware.catalog`) and do not change with how the host
+computes the answer.  On the host, :meth:`CollisionChecker.check`
+indexes each signature component in a dict once per call instead of
+re-deriving the sorted keys per local record.  The index yields the
+same pairs in the same order as the sort-and-bisect walk (held equal
+to it by ``tests/test_hashing_lsh.py`` against ``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.errors import ConfigurationError
 
@@ -20,6 +30,9 @@ class HashRecord:
     time_ms: float
     electrode: int
     signature: tuple[int, ...]
+
+
+_time_ms = attrgetter("time_ms")
 
 
 @dataclass
@@ -48,19 +61,16 @@ class RecentHashStore:
 
     def recent(self, now_ms: float) -> list[HashRecord]:
         """Records within the horizon ending at ``now_ms``."""
-        cutoff = now_ms - self.horizon_ms
-        times = [r.time_ms for r in self._records]
-        lo = bisect.bisect_left(times, cutoff)
-        hi = bisect.bisect_right(times, now_ms)
-        return self._records[lo:hi]
+        records = self._records
+        lo = bisect.bisect_left(records, now_ms - self.horizon_ms, key=_time_ms)
+        hi = bisect.bisect_right(records, now_ms, key=_time_ms)
+        return records[lo:hi]
 
     def evict_before(self, cutoff_ms: float) -> int:
         """Drop records older than ``cutoff_ms``; returns the count dropped."""
-        times = [r.time_ms for r in self._records]
-        lo = bisect.bisect_left(times, cutoff_ms)
-        dropped = lo
+        lo = bisect.bisect_left(self._records, cutoff_ms, key=_time_ms)
         self._records = self._records[lo:]
-        return dropped
+        return lo
 
     def __len__(self) -> int:
         return len(self._records)
@@ -71,7 +81,8 @@ class CollisionChecker:
 
     The PE sorts the received batch in place in SRAM and binary-searches
     local hashes against it.  The OR-construction of multi-component
-    signatures is honoured by indexing each component separately.
+    signatures is honoured by indexing each component separately; the
+    host implementation keeps that per-component index as a dict.
     """
 
     def __init__(self, min_matching: int = 1):
@@ -95,26 +106,24 @@ class CollisionChecker:
         if any(len(sig) != n_components for sig in received):
             raise ConfigurationError("received signatures have mixed widths")
 
-        # Sort received signatures per component (the in-SRAM sort).
-        sorted_components: list[list[tuple[int, int]]] = []
-        for c in range(n_components):
-            component = sorted((sig[c], i) for i, sig in enumerate(received))
-            sorted_components.append(component)
+        # Host-side index: per component, value -> received indices in
+        # ascending order.  Counting through it visits indices in the
+        # order the PE's sort-and-bisect walk does (component order,
+        # then ascending index), so matches come out in the same order.
+        index: list[dict[int, list[int]]] = [{} for _ in range(n_components)]
+        for i, sig in enumerate(received):
+            for component, value in zip(index, sig):
+                component.setdefault(value, []).append(i)
 
         matches: list[tuple[int, HashRecord]] = []
         for record in local:
-            if len(record.signature) != n_components:
+            signature = record.signature
+            if len(signature) != n_components:
                 raise ConfigurationError("local signature width mismatch")
             agree_counts: dict[int, int] = {}
-            for c in range(n_components):
-                component = sorted_components[c]
-                value = record.signature[c]
-                keys = [entry[0] for entry in component]
-                lo = bisect.bisect_left(keys, value)
-                while lo < len(component) and component[lo][0] == value:
-                    idx = component[lo][1]
+            for component, value in zip(index, signature):
+                for idx in component.get(value, ()):
                     agree_counts[idx] = agree_counts.get(idx, 0) + 1
-                    lo += 1
             for idx, agreeing in agree_counts.items():
                 if agreeing >= self.min_matching:
                     matches.append((idx, record))

@@ -17,10 +17,17 @@ The SECDED page code works the same way: production folds packed masks
 and popcounts the result; :func:`ecc_syndrome_parity` unpacks every bit
 and XORs the 1-based indices of the set ones, and
 :func:`ecc_decode_page` applies the documented decision table to it.
+
+So do the seizure protocol's two host kernels.  Production DTW runs the
+recurrence on Python floats and lists; :func:`dtw_distance` walks numpy
+arrays cell by cell.  Production CCHECK indexes each signature component
+in a dict; :func:`collision_check` sorts the received batch and
+binary-searches it per component, as the PE does.
 """
 
 from __future__ import annotations
 
+import bisect
 import zlib
 
 import numpy as np
@@ -32,11 +39,11 @@ from repro.apps.queries import (
     QuerySpec,
 )
 from repro.errors import ConfigurationError, ScaloError
+from repro.hashing.collision import HashRecord
 from repro.hashing.emd_hash import EMDHash
 from repro.hashing.lsh import LSHFamily
 from repro.hashing.minhash import _uniform01, finalize_hash
 from repro.recovery.ecc import DecodeResult, PageECC
-from repro.similarity.dtw import dtw_distance
 from repro.similarity.emd import signal_to_histogram
 
 # --- the hash pipeline: HCONV -> NGRAM -> weighted min-hash ---------------------
@@ -184,6 +191,88 @@ class OracleLSH(LSHFamily):
 
     def hash_channels(self, windows: np.ndarray) -> list[tuple[int, ...]]:
         return [lsh_hash_window(self, row) for row in np.asarray(windows, float)]
+
+
+# --- the seizure protocol: DTW and CCHECK ------------------------------------------
+
+
+def dtw_distance(
+    series_a: np.ndarray, series_b: np.ndarray, band: int | None = None
+) -> float:
+    """The reference for ``repro.similarity.dtw.dtw_distance``."""
+    a = np.asarray(series_a, dtype=float)
+    b = np.asarray(series_b, dtype=float)
+    if a.ndim != 1 or b.ndim != 1:
+        raise ConfigurationError("dtw_distance expects 1-D series")
+    if a.size == 0 or b.size == 0:
+        raise ConfigurationError("dtw_distance expects non-empty series")
+    n, m = a.shape[0], b.shape[0]
+    if band is not None:
+        if band < 1:
+            raise ConfigurationError("band must be >= 1")
+        if abs(n - m) > band - 1 and band != 1:
+            # The band must at least cover the length difference.
+            band = abs(n - m) + band
+    effective_band = band if band is not None else max(n, m)
+
+    if band == 1:
+        if n != m:
+            raise ConfigurationError("band=1 (lockstep) needs equal lengths")
+        return float(np.sum(np.abs(a - b)))
+
+    inf = np.inf
+    prev = np.full(m + 1, inf)
+    prev[0] = 0.0
+    for i in range(1, n + 1):
+        current = np.full(m + 1, inf)
+        j_low = max(1, i - effective_band)
+        j_high = min(m, i + effective_band)
+        for j in range(j_low, j_high + 1):
+            cost = abs(a[i - 1] - b[j - 1])
+            current[j] = cost + min(prev[j], current[j - 1], prev[j - 1])
+        prev = current
+    result = prev[m]
+    if not np.isfinite(result):
+        raise ConfigurationError("band too narrow for the length difference")
+    return float(result)
+
+
+def collision_check(
+    received: list[tuple[int, ...]],
+    local: list[HashRecord],
+    min_matching: int,
+) -> list[tuple[int, HashRecord]]:
+    """The reference for ``CollisionChecker(min_matching).check``."""
+    if not received or not local:
+        return []
+    n_components = len(received[0])
+    if any(len(sig) != n_components for sig in received):
+        raise ConfigurationError("received signatures have mixed widths")
+
+    # Sort received signatures per component (the in-SRAM sort).
+    sorted_components: list[list[tuple[int, int]]] = []
+    for c in range(n_components):
+        component = sorted((sig[c], i) for i, sig in enumerate(received))
+        sorted_components.append(component)
+
+    matches: list[tuple[int, HashRecord]] = []
+    for record in local:
+        if len(record.signature) != n_components:
+            raise ConfigurationError("local signature width mismatch")
+        agree_counts: dict[int, int] = {}
+        for c in range(n_components):
+            component = sorted_components[c]
+            value = record.signature[c]
+            keys = [entry[0] for entry in component]
+            lo = bisect.bisect_left(keys, value)
+            while lo < len(component) and component[lo][0] == value:
+                idx = component[lo][1]
+                agree_counts[idx] = agree_counts.get(idx, 0) + 1
+                lo += 1
+        for idx, agreeing in agree_counts.items():
+            if agreeing >= min_matching:
+                matches.append((idx, record))
+    return matches
 
 
 # --- the query scan ----------------------------------------------------------------

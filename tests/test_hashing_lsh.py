@@ -2,11 +2,31 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.hashing.collision import CollisionChecker, HashRecord, RecentHashStore
 from repro.hashing.emd_hash import EMDHash
 from repro.hashing.lsh import LSHConfig, LSHFamily, MEASURE_PRESETS
+from tests.oracles import collision_check
+
+
+@st.composite
+def _ccheck_case(draw):
+    """Received/local signatures over a small alphabet, so values collide."""
+    n_components = draw(st.integers(1, 8))
+    value = st.integers(0, draw(st.integers(1, 16)) - 1)
+    signature = st.tuples(*[value] * n_components)
+    received = draw(st.lists(signature, min_size=1, max_size=12))
+    local = [
+        HashRecord(float(t), electrode, sig)
+        for t, (electrode, sig) in enumerate(
+            draw(st.lists(st.tuples(st.integers(0, 7), signature),
+                          min_size=1, max_size=24))
+        )
+    ]
+    return received, local, draw(st.integers(1, n_components))
 
 
 @pytest.fixture()
@@ -146,6 +166,30 @@ class TestRecentHashStore:
         assert store.evict_before(5.0) == 2
         assert len(store) == 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        times=st.lists(st.integers(0, 20), max_size=40).map(sorted),
+        horizon=st.integers(0, 10),
+        now=st.integers(-5, 30),
+        cutoff=st.integers(-5, 30),
+    )
+    @example(times=[3, 3, 5, 8, 8, 8], horizon=5, now=8, cutoff=3)
+    def test_matches_plain_filter(self, times, horizon, now, cutoff):
+        # Integer times on a small grid put duplicates on both cut edges.
+        store = RecentHashStore(horizon_ms=float(horizon))
+        records = [HashRecord(float(t), k, (k,)) for k, t in enumerate(times)]
+        for record in records:
+            store.add(record)
+        assert store.recent(float(now)) == [
+            r for r in records if now - horizon <= r.time_ms <= now
+        ]
+        kept = [r for r in records if r.time_ms >= cutoff]
+        assert store.evict_before(float(cutoff)) == len(records) - len(kept)
+        assert len(store) == len(kept)
+        assert store.recent(float(now)) == [
+            r for r in kept if now - horizon <= r.time_ms <= now
+        ]
+
 
 class TestCollisionChecker:
     def test_finds_matches(self):
@@ -170,6 +214,28 @@ class TestCollisionChecker:
         checker = CollisionChecker()
         with pytest.raises(ConfigurationError):
             checker.check([(1, 2), (1,)], [HashRecord(0.0, 0, (1, 2))])
+
+    @pytest.mark.parametrize(
+        "received, local_sigs, message",
+        [
+            ([(1, 2), (1,)], [(1, 2)], "received signatures have mixed widths"),
+            ([(1, 2), (3, 4)], [(1, 2), (1, 2, 3)], "local signature width mismatch"),
+        ],
+    )
+    def test_width_mismatch_rejected_like_oracle(self, received, local_sigs, message):
+        local = [HashRecord(float(t), 0, sig) for t, sig in enumerate(local_sigs)]
+        with pytest.raises(ConfigurationError, match=message):
+            CollisionChecker().check(received, local)
+        with pytest.raises(ConfigurationError, match=message):
+            collision_check(received, local, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_ccheck_case())
+    def test_matches_oracle_in_order(self, case):
+        received, local, min_matching = case
+        assert CollisionChecker(min_matching).check(
+            received, local
+        ) == collision_check(received, local, min_matching)
 
     def test_matches_agree_with_brute_force(self, rng):
         checker = CollisionChecker(min_matching=2)

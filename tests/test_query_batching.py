@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from repro.apps.queries import QueryEngine, QuerySpec
 from repro.errors import ConfigurationError
 from repro.hashing.lsh import SUPPORTED_MEASURES, LSHFamily
-from repro.similarity.dtw import dtw_distance, dtw_distance_batch
+from repro.similarity.dtw import dtw_distance_batch
 from repro.storage.controller import StorageController
 from repro.storage.nvm import PAGE_BYTES, NVMDevice
-from tests.oracles import lsh_hash_window, query_run
+from tests.oracles import dtw_distance, lsh_hash_window, query_run
 
 CAPACITY = 16 * 1024 * 1024
 

@@ -1,7 +1,12 @@
 """Tests for the exact similarity measures (DTW, XCOR, EMD, Euclidean)."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.similarity.dtw import dtw_cell_count, dtw_distance, dtw_distance_matrix
@@ -12,6 +17,37 @@ from repro.similarity.xcor import (
     max_cross_correlation,
     pearson_correlation,
 )
+from tests import oracles
+
+_BANDS = st.sampled_from([None, 1, 2, 3, 5, 10, 65])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NAN, INF = math.nan, math.inf
+
+
+def _dtw_outcome(kernel, a, b, band):
+    """The kernel's distance, or its ``ConfigurationError`` message."""
+    try:
+        with np.errstate(all="ignore"):
+            return kernel(np.array(a, dtype=float), np.array(b, dtype=float), band)
+    except ConfigurationError as exc:
+        return str(exc)
+
+
+def _oracle_cells_written(n: int, m: int, band: int | None) -> int:
+    """DP cells the oracle DTW stores for an ``n`` x ``m`` pair."""
+    writes = []
+
+    class Row(np.ndarray):
+        def __setitem__(self, key, value):
+            writes.append(key)
+            super().__setitem__(key, value)
+
+    full = np.full
+    with mock.patch.object(
+        oracles.np, "full", lambda shape, fill: full(shape, fill).view(Row)
+    ):
+        oracles.dtw_distance(np.ones(n), np.zeros(m), band)
+    return len(writes) - 1  # the first write is the origin, prev[0] = 0
 
 
 class TestDTW:
@@ -56,9 +92,71 @@ class TestDTW:
     def test_cell_count_banded_less_than_full(self):
         assert dtw_cell_count(120, 120, band=10) < dtw_cell_count(120, 120)
 
+    def test_cell_count_follows_band_widening(self):
+        # |5 - 20| > band - 1, so the kernel widens the band to 15 + 3.
+        assert dtw_cell_count(5, 20, band=3) == 99
+        assert _oracle_cells_written(5, 20, band=3) == 99
+
+    def test_cell_count_lockstep(self):
+        assert dtw_cell_count(8, 8, band=1) == 8
+        with pytest.raises(ConfigurationError):
+            dtw_cell_count(8, 9, band=1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        m=st.integers(1, 40),
+        band=st.sampled_from([None, 2, 3, 5, 10, 65]),
+    )
+    def test_cell_count_equals_oracle_writes(self, n, m, band):
+        assert dtw_cell_count(n, m, band) == _oracle_cells_written(n, m, band)
+
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             dtw_distance(np.array([]), np.array([1.0]))
+
+
+class TestDTWKernel:
+    """``dtw_distance`` is bit-identical to the numpy-scalar oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.lists(_FINITE, min_size=1, max_size=64),
+        b=st.lists(_FINITE, min_size=1, max_size=64),
+        equal=st.booleans(),
+        band=_BANDS,
+    )
+    @example(a=[NAN, 1.0, 2.0], b=[0.0, 1.0, 2.0], equal=True, band=None)
+    @example(a=[0.0, 1.0, 2.0], b=[1.0, NAN, 2.0], equal=True, band=2)
+    @example(a=[1.0, 2.0, 3.0, 4.0], b=[1.0, NAN], equal=False, band=1)
+    @example(a=[INF, 1.0, 2.0], b=[0.0, 1.0, 2.0], equal=True, band=3)
+    @example(a=[1.0, -INF], b=[-INF, 2.0, 3.0], equal=False, band=None)
+    @example(a=[INF, 1.0], b=[INF, 1.0], equal=True, band=1)
+    @example(a=[1.0, 2.0, NAN, 4.0, 5.0], b=[2.0, INF], equal=False, band=2)
+    @example(a=[0.0] * 5, b=[1.0] * 20, equal=False, band=3)
+    def test_matches_oracle(self, a, b, equal, band):
+        if equal:
+            b = (b * len(a))[: len(a)]
+        got = _dtw_outcome(dtw_distance, a, b, band)
+        want = _dtw_outcome(oracles.dtw_distance, a, b, band)
+        assert type(got) is type(want)
+        # NaN only ever comes back from the lockstep sum, on both sides.
+        assert got == want or (got != got and want != want)
+
+    @pytest.mark.parametrize(
+        "a, b, band",
+        [
+            ([[1.0]], [1.0], None),
+            ([], [1.0], None),
+            ([1.0], [1.0], 0),
+            ([1.0, 2.0], [1.0], 1),
+            ([INF], [INF], 2),
+        ],
+    )
+    def test_errors_match_oracle(self, a, b, band):
+        got = _dtw_outcome(dtw_distance, a, b, band)
+        assert isinstance(got, str)
+        assert got == _dtw_outcome(oracles.dtw_distance, a, b, band)
 
 
 class TestXCOR:
