@@ -370,13 +370,13 @@ def _health(args) -> None:
 
 def _serve(args) -> None:
     from repro.api import (
-        BrownoutConfig,
         LoadGenConfig,
         RetryPolicy,
         ServerConfig,
         Telemetry,
         serve_session,
     )
+    from repro.serving import BrownoutConfig
     from repro.eval.reporting import span_summary, telemetry_summary
     from repro.telemetry import write_metrics_csv
     from repro.telemetry.health import HealthEngine

@@ -1,4 +1,4 @@
-"""The stable high-level facade: build a fleet, run queries, run scenarios.
+"""The high-level facade: the entry points and the types they take and return.
 
 Examples, notebooks, and the README quick-start import from here instead
 of reaching five modules deep::
@@ -9,281 +9,122 @@ of reaching five modules deep::
     system.ingest(windows)
     result = run_query(system, "q3", (0, 1))
 
-Many concurrent callers go through the serving layer instead — a
-:class:`~repro.serving.QueryServer` (or the one-call
-:func:`~repro.serving.serve_session`) multiplexes deadline-bearing
-request streams onto the same query path with admission control and
-coalescing.  The chaos-hardening knobs ride along: a seeded
-:class:`~repro.serving.RetryPolicy` (client- and server-side), per-node
-circuit breakers (:class:`~repro.serving.BreakerConfig`), graded
-brownout tiers (:class:`~repro.serving.BrownoutConfig`), and the
-:func:`~repro.eval.chaos.chaos_sweep` fault-storm harness.
+Many concurrent callers go through the serving layer instead:
+:func:`serve_session` builds a seeded fleet and multiplexes one
+open-loop load onto the same query path with admission control and
+coalescing; :func:`chaos_sweep`, :func:`run_storm` and
+:func:`run_partition_storm` replay fault storms against it.
 
 Multi-tenant deployments go one level up: :func:`build_fabric` runs
 many independent fleets behind one tenant-aware serving plane,
-:func:`run_fleet_query` routes a tenant's query to its owning fleet
-(consistent-hash shard map, per-tenant admission quotas, partitioned
-result retention), and :func:`run_population_query` scatter-gathers one
-query across every fleet with partial-coverage merge.
-:func:`build_system`/:func:`run_query` remain the unchanged
-single-tenant path.
+:func:`run_fleet_query` routes a tenant's query to its owning fleet,
+:func:`run_population_query` scatter-gathers one query across every
+fleet with partial-coverage merge, :func:`fabric_session` drives a
+seeded multi-tenant load, and :func:`run_isolation_gate` runs the
+noisy-neighbour gate.  :func:`solve_schedule` solves one
+electrode-allocation instance and :func:`run_scenario` runs a canned
+telemetry scenario.
 
-Everything re-exported here is covered by the deprecation policy: the
-deeper module paths may shuffle between releases, ``repro.api`` does not.
+A name is exported here only if it is one of those entry points, a type
+an entry point's signature takes or returns, or an error an entry point
+raises.  Everything else (token buckets, breakers, shard maps, the
+open-loop driver, health-engine parts, ...) is imported from its own
+module, e.g. :mod:`repro.serving`, :mod:`repro.fabric` or
+:mod:`repro.telemetry.health`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.queries import (
-    DistributedQueryResult,
-    QueryCostModel,
-    QueryEngine,
-    QueryResultRow,
-    QuerySpec,
-)
+from repro.apps.queries import DistributedQueryResult, QuerySpec
 from repro.core.system import ScaloSystem
 from repro.errors import QueryRejected, ScaloError
 from repro.eval.chaos import (
-    FAULT_PRESETS,
-    MILD,
-    MODERATE,
-    PARTITION,
-    SEVERE,
-    STORM_LEVELS,
     ChaosConfig,
     ChaosReport,
-    PartitionInvariants,
     PartitionStormReport,
     StormLevel,
     StormResult,
     chaos_sweep,
-    partition_config,
     run_partition_storm,
     run_storm,
 )
 from repro.fabric import (
-    POPULATION_CLIENT,
     FabricConfig,
     FabricLoadConfig,
     FabricReport,
-    FleetAnswer,
     FleetFabric,
-    FleetShard,
     IsolationConfig,
     IsolationResult,
     PopulationResult,
-    ShardMap,
-    TenantStats,
     fabric_session,
-    generate_tenant_arrivals,
-    run_fabric_load,
     run_isolation_gate,
-    tenant_name,
-    tenant_slos,
 )
-from repro.faults import (
-    FaultEvent,
-    FaultInjector,
-    FaultKind,
-    FaultPlan,
-    FleetBelief,
-    HealthMonitor,
-)
-from repro.network import SPLIT_MODES, PartitionMatrix
-from repro.recovery import (
-    FailoverEvent,
-    FailoverManager,
-    JournalRecord,
-    WriteAheadJournal,
-)
-from repro.scheduler.constraints import ConstraintSystem, build_constraints
-from repro.scheduler.ilp import (
-    AUTO_ILP_MAX_NODES,
-    SOLVERS,
-    Flow,
-    FlowAllocation,
-    Schedule,
-    SchedulerProblem,
-)
+from repro.faults import FaultPlan
+from repro.scheduler.ilp import Flow, Schedule
 from repro.serving import (
-    TIER_CACHE_ONLY,
-    TIER_HEALTHY,
-    TIER_NAMES,
-    TIER_REDUCED,
-    TIER_REJECT,
-    AdmissionController,
-    Arrival,
-    BreakerBoard,
-    BreakerConfig,
-    BreakerState,
-    BrownoutConfig,
-    BrownoutController,
-    CircuitBreaker,
     LoadGenConfig,
-    QueryRequest,
     QueryResponse,
     QueryServer,
     RetryPolicy,
     ServeReport,
     ServerConfig,
-    ServingStats,
-    TokenBucket,
-    final_responses,
-    generate_arrivals,
-    per_client_responses,
-    percentile,
-    run_open_loop,
     serve_session,
-    summarise,
 )
-from repro.telemetry import NULL_TELEMETRY, Telemetry, TelemetryLike
-from repro.telemetry.health import (
-    DEFAULT_SERVING_SLOS,
-    SLO,
-    Alert,
-    Anomaly,
-    AnomalyConfig,
-    AnomalyDetector,
-    BurnRateWindow,
-    FlightRecorder,
-    HealthConfig,
-    HealthEngine,
-    QuantileSketch,
-    SLOEngine,
-    SLOStatus,
-)
-from repro.telemetry.scenarios import SCENARIOS, run_scenario
-from repro.units import WINDOW_MS
+from repro.telemetry import NULL_TELEMETRY as _NULL_TELEMETRY
+from repro.telemetry import Telemetry, TelemetryLike
+from repro.telemetry.health import HealthEngine
+from repro.telemetry.scenarios import run_scenario
+from repro.units import WINDOW_MS as _WINDOW_MS
 
 __all__ = [
-    # single-tenant entry points
+    # entry points
     "build_system",
     "run_query",
     "run_scenario",
     "serve_session",
-    # multi-tenant entry points
+    "chaos_sweep",
+    "run_storm",
+    "run_partition_storm",
     "build_fabric",
     "run_fleet_query",
     "run_population_query",
     "fabric_session",
-    # core types
-    "SCENARIOS",
-    "ScaloSystem",
-    "ScaloError",
-    "QuerySpec",
-    "QueryCostModel",
-    "QueryEngine",
-    "QueryRejected",
-    "QueryResultRow",
-    "DistributedQueryResult",
-    "WINDOW_MS",
-    # serving (PR 5)
-    "AdmissionController",
-    "Arrival",
-    "LoadGenConfig",
-    "QueryRequest",
-    "QueryResponse",
-    "QueryServer",
-    "ServeReport",
-    "ServerConfig",
-    "ServingStats",
-    "TokenBucket",
-    "final_responses",
-    "generate_arrivals",
-    "per_client_responses",
-    "percentile",
-    "run_open_loop",
-    "summarise",
-    # chaos hardening (PR 6)
-    "BreakerBoard",
-    "BreakerConfig",
-    "BreakerState",
-    "BrownoutConfig",
-    "BrownoutController",
+    "run_isolation_gate",
+    "solve_schedule",
+    # types the entry points take
     "ChaosConfig",
-    "ChaosReport",
-    "CircuitBreaker",
-    "FAULT_PRESETS",
-    "MILD",
-    "MODERATE",
-    "PARTITION",
-    "SEVERE",
-    "STORM_LEVELS",
-    "StormLevel",
-    "StormResult",
-    "RetryPolicy",
-    "TIER_CACHE_ONLY",
-    "TIER_HEALTHY",
-    "TIER_NAMES",
-    "TIER_REDUCED",
-    "TIER_REJECT",
-    "chaos_sweep",
-    "run_storm",
-    # fleet health (PR 7)
-    "Alert",
-    "Anomaly",
-    "AnomalyConfig",
-    "AnomalyDetector",
-    "BurnRateWindow",
-    "DEFAULT_SERVING_SLOS",
-    "FlightRecorder",
-    "HealthConfig",
-    "HealthEngine",
-    "QuantileSketch",
-    "SLO",
-    "SLOEngine",
-    "SLOStatus",
-    # partitions + coordination (PR 8)
-    "FailoverEvent",
-    "FailoverManager",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultKind",
-    "FaultPlan",
-    "FleetBelief",
-    "HealthMonitor",
-    "JournalRecord",
-    "PartitionInvariants",
-    "PartitionMatrix",
-    "PartitionStormReport",
-    "SPLIT_MODES",
-    "WriteAheadJournal",
-    "partition_config",
-    "run_partition_storm",
-    # fleet fabric (PR 9)
     "FabricConfig",
     "FabricLoadConfig",
-    "FabricReport",
-    "FleetAnswer",
-    "FleetFabric",
-    "FleetShard",
-    "IsolationConfig",
-    "IsolationResult",
-    "POPULATION_CLIENT",
-    "PopulationResult",
-    "ShardMap",
-    "TenantStats",
-    "generate_tenant_arrivals",
-    "run_fabric_load",
-    "run_isolation_gate",
-    "tenant_name",
-    "tenant_slos",
-    # scheduler portfolio (PR 10)
-    "AUTO_ILP_MAX_NODES",
-    "ConstraintSystem",
+    "FaultPlan",
     "Flow",
-    "FlowAllocation",
-    "SOLVERS",
-    "Schedule",
-    "SchedulerProblem",
-    "build_constraints",
-    "solve_schedule",
-    # telemetry
-    "NULL_TELEMETRY",
-    "Telemetry",
+    "HealthEngine",
+    "IsolationConfig",
+    "LoadGenConfig",
+    "QuerySpec",
+    "RetryPolicy",
+    "ServerConfig",
+    "StormLevel",
     "TelemetryLike",
+    # types the entry points return
+    "ChaosReport",
+    "DistributedQueryResult",
+    "FabricReport",
+    "FleetFabric",
+    "IsolationResult",
+    "PartitionStormReport",
+    "PopulationResult",
+    "QueryResponse",
+    "QueryServer",
+    "ScaloSystem",
+    "Schedule",
+    "ServeReport",
+    "StormResult",
+    "Telemetry",
+    # errors the entry points raise
+    "QueryRejected",
+    "ScaloError",
 ]
 
 
@@ -293,7 +134,7 @@ def build_system(
     *,
     measure: str = "dtw",
     seed: int = 0,
-    telemetry: TelemetryLike = NULL_TELEMETRY,
+    telemetry: TelemetryLike = _NULL_TELEMETRY,
     **overrides,
 ) -> ScaloSystem:
     """Assemble a :class:`~repro.core.system.ScaloSystem` fleet.
@@ -326,7 +167,7 @@ def solve_schedule(
     power_budget_mw: float | None = None,
     solver: str = "auto",
     seed: int = 0,
-    telemetry: TelemetryLike = NULL_TELEMETRY,
+    telemetry: TelemetryLike = _NULL_TELEMETRY,
 ) -> Schedule:
     """Solve one electrode-allocation instance with the solver portfolio.
 
@@ -349,6 +190,7 @@ def solve_schedule(
     Returns:
         The :class:`~repro.scheduler.ilp.Schedule`.
     """
+    from repro.scheduler.ilp import SchedulerProblem
     from repro.units import NODE_POWER_CAP_MW
 
     return SchedulerProblem(
@@ -397,7 +239,7 @@ def run_query(
     """
     if time_range_ms is None:
         start, stop = window_range
-        time_range_ms = max(stop - start, 1) * WINDOW_MS
+        time_range_ms = max(stop - start, 1) * _WINDOW_MS
     spec = QuerySpec(kind=kind, time_range_ms=time_range_ms, use_hash=use_hash)
     run = system.query_distributed if distributed else system.query
     return run(
@@ -412,7 +254,7 @@ def build_fabric(
     *,
     electrodes: int = 8,
     n_windows: int = 4,
-    telemetry: TelemetryLike = NULL_TELEMETRY,
+    telemetry: TelemetryLike = _NULL_TELEMETRY,
     **overrides,
 ) -> FleetFabric:
     """Assemble a multi-tenant :class:`~repro.fabric.FleetFabric`.
@@ -454,9 +296,9 @@ def _resolve_spec(
     if time_range_ms is None:
         if window_range is not None:
             start, stop = window_range
-            time_range_ms = max(stop - start, 1) * WINDOW_MS
+            time_range_ms = max(stop - start, 1) * _WINDOW_MS
         else:
-            time_range_ms = WINDOW_MS
+            time_range_ms = _WINDOW_MS
     return QuerySpec(kind=kind, time_range_ms=time_range_ms)
 
 

@@ -35,14 +35,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.apps.queries import QueryCostModel, QueryEngine, QuerySpec
+from repro.apps.queries import QueryEngine, QuerySpec
 from repro.core.system import ScaloSystem
 from repro.errors import ConfigurationError, QueryRejected
 from repro.fabric.shardmap import ShardMap
-from repro.serving.loadgen import final_responses
+from repro.serving.loadgen import build_fleet, final_responses
 from repro.serving.server import QueryResponse, QueryServer, ServerConfig
 from repro.telemetry import NULL_TELEMETRY, TelemetryLike
-from repro.units import WINDOW_SAMPLES
 
 #: the reserved client name population scatters run under (never a tenant)
 POPULATION_CLIENT = "_population"
@@ -85,6 +84,14 @@ class FabricConfig:
         if self.tenant_queue_quota < 1:
             raise ConfigurationError("tenant queue quota must be positive")
 
+    def shard_map(self) -> ShardMap:
+        """A fresh consistent-hash ring over fleets ``0 .. n_fleets-1``."""
+        return ShardMap(
+            fleet_ids=tuple(range(self.n_fleets)),
+            vnodes=self.vnodes,
+            seed=self.seed,
+        )
+
     def resolved_server_config(self) -> ServerConfig:
         """The per-fleet server config (tenant-isolated unless overridden)."""
         if self.server_config is not None:
@@ -118,57 +125,26 @@ def build_fleet_shard(
     config: FabricConfig,
     telemetry: TelemetryLike = NULL_TELEMETRY,
 ) -> FleetShard:
-    """Build one fleet exactly the way ``serve_session`` builds its own.
+    """Build one fleet with the serving layer's :func:`build_fleet`.
 
     The fleet seed is ``config.seed + fleet_id``, so fleet 0 of a fabric
     is *the same fleet* (same signals, templates, engine state) as a
     directly-built system at ``config.seed`` — the anchor for the
     1-tenant byte-identity property in the test suite.
     """
-    seed = config.seed + fleet_id
-    system = ScaloSystem(
+    system, server, templates = build_fleet(
         n_nodes=config.nodes_per_fleet,
-        electrodes_per_node=config.electrodes,
-        seed=seed,
-        telemetry=telemetry,
-    )
-    rng = np.random.default_rng(seed)
-    templates: list[np.ndarray] = []
-    for _ in range(config.n_windows):
-        windows = (
-            rng.standard_normal(
-                (config.nodes_per_fleet, config.electrodes, WINDOW_SAMPLES)
-            ).cumsum(axis=2)
-            * 300
-        ).round()
-        system.ingest(windows)
-        if len(templates) < config.n_templates:
-            templates.append(windows[0, 0].astype(float))
-    while len(templates) < config.n_templates:
-        templates.append(templates[-1])
-    flags = {
-        node: {0, config.n_windows - 1}
-        for node in range(config.nodes_per_fleet)
-    }
-    engine = QueryEngine(
-        controllers=[node.storage for node in system.nodes],
-        lsh=system.lsh,
-        seizure_flags=flags,
-        telemetry=telemetry,
-    )
-    server = QueryServer(
-        engine,
-        config=config.resolved_server_config(),
-        cost_model=QueryCostModel(
-            n_nodes=config.nodes_per_fleet,
-            electrodes_per_node=config.electrodes,
-        ),
+        electrodes=config.electrodes,
+        n_windows=config.n_windows,
+        seed=config.seed + fleet_id,
+        n_templates=config.n_templates,
+        server_config=config.resolved_server_config(),
         telemetry=telemetry,
     )
     return FleetShard(
         fleet_id=fleet_id,
         system=system,
-        engine=engine,
+        engine=server.engine,
         server=server,
         templates=templates,
         window_range=(0, config.n_windows),
@@ -253,11 +229,7 @@ class FleetFabric:
     telemetry: TelemetryLike = field(default=NULL_TELEMETRY, repr=False)
 
     def __post_init__(self) -> None:
-        self.shard_map = ShardMap(
-            fleet_ids=tuple(range(self.config.n_fleets)),
-            vnodes=self.config.vnodes,
-            seed=self.config.seed,
-        )
+        self.shard_map = self.config.shard_map()
         self.shards: dict[int, FleetShard] = {
             fleet_id: build_fleet_shard(fleet_id, self.config, self.telemetry)
             for fleet_id in range(self.config.n_fleets)

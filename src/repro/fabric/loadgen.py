@@ -18,15 +18,24 @@ and deterministic), drive the fabric open-loop, and fold into a
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.apps.queries import QuerySpec
 from repro.errors import ConfigurationError, QueryRejected
 from repro.fabric.fabric import FabricConfig, FleetFabric
-from repro.serving.loadgen import Arrival, percentile
+from repro.serving.loadgen import (
+    Arrival,
+    LoadGenConfig,
+    generate_arrivals,
+    percentile,
+)
 from repro.telemetry import NULL_TELEMETRY, TelemetryLike
+
+if TYPE_CHECKING:
+    from repro.telemetry.health import HealthEngine
 
 
 def tenant_name(index: int) -> str:
@@ -56,58 +65,66 @@ class FabricLoadConfig:
     def __post_init__(self) -> None:
         if self.n_tenants < 1:
             raise ConfigurationError("need at least one tenant")
+        # scaled loads clamp to one request, so check the unscaled count
         if self.requests_per_tenant < 1:
             raise ConfigurationError("need at least one request per tenant")
-        if self.offered_qps <= 0:
-            raise ConfigurationError("offered load must be positive")
-        if self.deadline_ms <= 0:
-            raise ConfigurationError("deadline must be positive")
-        if self.n_templates < 1:
-            raise ConfigurationError("need at least one template")
-        if not 0 <= self.min_coverage <= 1:
-            raise ConfigurationError("coverage SLA must be in [0, 1]")
+        unknown = sorted(set(self.rate_multipliers) - set(self.tenants))
+        if unknown:
+            raise ConfigurationError(
+                f"rate multipliers name unknown tenants {unknown}; "
+                f"tenants are {self.tenants[0]}..{self.tenants[-1]}"
+            )
         for tenant, multiplier in self.rate_multipliers.items():
-            if multiplier <= 0:
+            if not (math.isfinite(multiplier) and multiplier > 0):
                 raise ConfigurationError(
-                    f"rate multiplier for {tenant!r} must be positive"
+                    f"rate multiplier for {tenant!r} must be positive "
+                    "and finite"
                 )
+        # the shared load-shape fields are checked once, by LoadGenConfig
+        self.tenant_load(0)
 
     @property
     def tenants(self) -> tuple[str, ...]:
         return tuple(tenant_name(i) for i in range(self.n_tenants))
 
+    def tenant_load(self, index: int) -> LoadGenConfig:
+        """Tenant ``index``'s own one-client open loop.
+
+        Seeded ``(seed, index)``; requests and rate both scale with the
+        tenant's multiplier.
+        """
+        multiplier = self.rate_multipliers.get(tenant_name(index), 1.0)
+        return LoadGenConfig(
+            n_requests=max(1, round(self.requests_per_tenant * multiplier)),
+            offered_qps=self.offered_qps * multiplier,
+            seed=(self.seed, index),
+            n_clients=1,
+            deadline_ms=self.deadline_ms,
+            kind_weights=self.kind_weights,
+            n_templates=self.n_templates,
+            time_range_ms=self.time_range_ms,
+            match_fraction=self.match_fraction,
+            min_coverage=self.min_coverage,
+        )
+
 
 def generate_tenant_arrivals(
     config: FabricLoadConfig,
 ) -> dict[str, list[Arrival]]:
-    """Draw every tenant's arrival timeline from its own RNG stream."""
-    weights = np.asarray(config.kind_weights, dtype=float)
-    weights = weights / weights.sum()
-    arrivals: dict[str, list[Arrival]] = {}
-    for index in range(config.n_tenants):
-        tenant = tenant_name(index)
-        multiplier = config.rate_multipliers.get(tenant, 1.0)
-        rng = np.random.default_rng((config.seed, index))
-        n_requests = max(1, round(config.requests_per_tenant * multiplier))
-        qps = config.offered_qps * multiplier
-        stream: list[Arrival] = []
-        t = 0.0
-        for _ in range(n_requests):
-            t += float(rng.exponential(1e3 / qps))
-            kind = ("q1", "q2", "q3")[int(rng.choice(3, p=weights))]
-            template_index = (
-                int(rng.integers(config.n_templates)) if kind == "q2" else None
-            )
-            spec = QuerySpec(
-                kind=kind,
-                time_range_ms=config.time_range_ms,
-                match_fraction=(
-                    1.0 if kind == "q3" else config.match_fraction
-                ),
-            )
-            stream.append(Arrival(t, tenant, spec, template_index))
-        arrivals[tenant] = stream
-    return arrivals
+    """Draw every tenant's arrival timeline from its own RNG stream.
+
+    Each stream is one serving-layer :func:`generate_arrivals` draw over
+    :meth:`FabricLoadConfig.tenant_load`, relabelled to the tenant.  A
+    one-client draw consumes no randomness for the client pick, so the
+    stream is the same one a tenant-only loop would draw.
+    """
+    return {
+        tenant: [
+            replace(arrival, client=tenant)
+            for arrival in generate_arrivals(config.tenant_load(index))
+        ]
+        for index, tenant in enumerate(config.tenants)
+    }
 
 
 @dataclass
@@ -265,7 +282,7 @@ def fabric_session(
     config: FabricConfig | None = None,
     load: FabricLoadConfig | None = None,
     telemetry: TelemetryLike = NULL_TELEMETRY,
-    health=None,
+    health: HealthEngine | None = None,
 ) -> tuple[FleetFabric, FabricReport]:
     """Build a fabric, offer one seeded multi-tenant load, report.
 

@@ -23,7 +23,6 @@ from repro.serving.loadgen import (
     ServeReport,
     final_responses,
     generate_arrivals,
-    per_client_responses,
     percentile,
     run_open_loop,
     serve_session,
@@ -77,7 +76,6 @@ __all__ = [
     "TokenBucket",
     "final_responses",
     "generate_arrivals",
-    "per_client_responses",
     "percentile",
     "run_open_loop",
     "serve_session",

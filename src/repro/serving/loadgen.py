@@ -18,7 +18,8 @@ metric.
 
 :func:`serve_session` is the everything-wired entry point used by the
 ``serve``/``chaos`` CLIs, the telemetry scenarios, and the benchmarks:
-build a seeded fleet, ingest, optionally replay a
+build a seeded fleet and ingest (:func:`build_fleet`, the one fleet build
+the fabric shares), optionally replay a
 :class:`~repro.faults.plan.FaultPlan` against it while the load runs
 (the health monitor's belief feeds the server), and return the server
 plus a :class:`ServeReport`.
@@ -27,15 +28,22 @@ plus a :class:`ServeReport`.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.apps.queries import QueryEngine, QuerySpec
+from repro.apps.queries import QueryCostModel, QueryEngine, QuerySpec
 from repro.errors import ConfigurationError, QueryRejected
 from repro.serving.reliability import RetryPolicy
 from repro.serving.server import QueryResponse, QueryServer, ServerConfig
 from repro.telemetry import NULL_TELEMETRY, TelemetryLike
+
+if TYPE_CHECKING:
+    from repro.core.system import ScaloSystem
+    from repro.faults.plan import FaultPlan
+    from repro.telemetry.health import HealthEngine
 
 
 @dataclass(frozen=True)
@@ -44,7 +52,9 @@ class LoadGenConfig:
 
     n_requests: int = 64
     offered_qps: float = 20.0
-    seed: int = 0
+    #: anything ``np.random.default_rng`` accepts (the fabric draws each
+    #: tenant's stream at ``(seed, tenant_index)``)
+    seed: int | tuple[int, ...] = 0
     n_clients: int = 4
     #: relative deadline stamped on every request (ms after arrival)
     deadline_ms: float = 250.0
@@ -66,8 +76,23 @@ class LoadGenConfig:
             raise ConfigurationError("offered load must be positive")
         if self.n_clients < 1:
             raise ConfigurationError("need at least one client")
+        if self.deadline_ms <= 0:
+            raise ConfigurationError("deadline must be positive")
+        if (
+            len(self.kind_weights) != 3
+            or not all(math.isfinite(w) and w >= 0 for w in self.kind_weights)
+            or sum(self.kind_weights) <= 0
+        ):
+            raise ConfigurationError(
+                "kind weights must be three finite, non-negative numbers "
+                "with a positive sum"
+            )
         if self.n_templates < 1:
             raise ConfigurationError("need at least one template")
+        if self.time_range_ms <= 0:
+            raise ConfigurationError("time range must be positive")
+        if not 0 <= self.match_fraction <= 1:
+            raise ConfigurationError("match fraction must be in [0, 1]")
         if not 0 <= self.min_coverage <= 1:
             raise ConfigurationError("coverage SLA must be in [0, 1]")
 
@@ -174,20 +199,6 @@ def percentile(values, q: float) -> float:
     per-tenant and per-fleet numbers are always comparable.
     """
     return _percentile(sorted(float(v) for v in values), q)
-
-
-def per_client_responses(
-    server: QueryServer,
-) -> dict[str, list[QueryResponse]]:
-    """Each client's *final* answers, grouped and id-ordered.
-
-    The per-tenant view of :func:`final_responses` — what the fabric's
-    tenant reports and the isolation gate aggregate over.
-    """
-    grouped: dict[str, list[QueryResponse]] = {}
-    for response in final_responses(server):
-        grouped.setdefault(response.client, []).append(response)
-    return grouped
 
 
 def final_responses(server: QueryServer) -> list[QueryResponse]:
@@ -318,6 +329,69 @@ def run_open_loop(
     return len(arrivals), shed, client_retries
 
 
+def build_fleet(
+    *,
+    n_nodes: int,
+    electrodes: int,
+    n_windows: int,
+    seed: int,
+    n_templates: int,
+    server_config: ServerConfig,
+    telemetry: TelemetryLike,
+) -> tuple[ScaloSystem, QueryServer, list[np.ndarray]]:
+    """Build one seeded, pre-ingested fleet behind its own query server.
+
+    ``n_windows`` random-walk windows per electrode are ingested from
+    ``default_rng(seed)``; the first ``n_templates`` windows' node-0,
+    electrode-0 traces become the Q2 probe pool (padded by repeating
+    the last), and the first and last windows are flagged for Q1.
+    :func:`serve_session` and every fabric fleet build through here, so
+    fleet 0 of a fabric is the same fleet as a direct session.
+    Returns ``(system, server, templates)``; the engine is
+    ``server.engine``.
+    """
+    from repro.core.system import ScaloSystem
+    from repro.units import WINDOW_SAMPLES
+
+    system = ScaloSystem(
+        n_nodes=n_nodes,
+        electrodes_per_node=electrodes,
+        seed=seed,
+        telemetry=telemetry,
+    )
+    rng = np.random.default_rng(seed)
+    templates: list[np.ndarray] = []
+    for _ in range(n_windows):
+        windows = (
+            rng.standard_normal((n_nodes, electrodes, WINDOW_SAMPLES)).cumsum(
+                axis=2
+            )
+            * 300
+        ).round()
+        system.ingest(windows)
+        if len(templates) < n_templates:
+            templates.append(windows[0, 0].astype(float))
+    while len(templates) < n_templates:
+        templates.append(templates[-1])
+    flags = {node: {0, n_windows - 1} for node in range(n_nodes)}
+
+    engine = QueryEngine(
+        controllers=[node.storage for node in system.nodes],
+        lsh=system.lsh,
+        seizure_flags=flags,
+        telemetry=telemetry,
+    )
+    server = QueryServer(
+        engine,
+        config=server_config,
+        cost_model=QueryCostModel(
+            n_nodes=n_nodes, electrodes_per_node=electrodes
+        ),
+        telemetry=telemetry,
+    )
+    return system, server, templates
+
+
 def serve_session(
     *,
     n_nodes: int = 4,
@@ -327,10 +401,10 @@ def serve_session(
     load: LoadGenConfig | None = None,
     server_config: ServerConfig | None = None,
     telemetry: TelemetryLike = NULL_TELEMETRY,
-    fault_plan=None,
+    fault_plan: FaultPlan | None = None,
     round_ms: float = 50.0,
     client_retry: RetryPolicy | None = None,
-    health=None,
+    health: HealthEngine | None = None,
 ) -> tuple[QueryServer, ServeReport]:
     """Build a fleet, offer one seeded load, return server + report.
 
@@ -359,45 +433,15 @@ def serve_session(
     server answers cache-only, and regaining quorum (heal) reschedules
     parked below-SLA requests.
     """
-    from repro.core.system import ScaloSystem
-    from repro.units import WINDOW_SAMPLES
-
     load = load if load is not None else LoadGenConfig(seed=seed)
-    system = ScaloSystem(
+    system, server, templates = build_fleet(
         n_nodes=n_nodes,
-        electrodes_per_node=electrodes,
+        electrodes=electrodes,
+        n_windows=n_windows,
         seed=seed,
-        telemetry=telemetry,
-    )
-    rng = np.random.default_rng(seed)
-    templates: list[np.ndarray] = []
-    for w in range(n_windows):
-        windows = (
-            rng.standard_normal((n_nodes, electrodes, WINDOW_SAMPLES)).cumsum(
-                axis=2
-            )
-            * 300
-        ).round()
-        system.ingest(windows)
-        if len(templates) < load.n_templates:
-            templates.append(windows[0, 0].astype(float))
-    while len(templates) < load.n_templates:
-        templates.append(templates[-1])
-    flags = {node: {0, n_windows - 1} for node in range(n_nodes)}
-
-    engine = QueryEngine(
-        controllers=[node.storage for node in system.nodes],
-        lsh=system.lsh,
-        seizure_flags=flags,
-        telemetry=telemetry,
-    )
-    from repro.apps.queries import QueryCostModel
-
-    server = QueryServer(
-        engine,
-        config=server_config if server_config is not None else ServerConfig(),
-        cost_model=QueryCostModel(
-            n_nodes=n_nodes, electrodes_per_node=electrodes
+        n_templates=load.n_templates,
+        server_config=(
+            server_config if server_config is not None else ServerConfig()
         ),
         telemetry=telemetry,
     )

@@ -23,6 +23,10 @@ recurrence on Python floats and lists; :func:`dtw_distance` walks numpy
 arrays cell by cell.  Production CCHECK indexes each signature component
 in a dict; :func:`collision_check` sorts the received batch and
 binary-searches it per component, as the PE does.
+
+The fabric's per-tenant arrival streams are one-client draws of the
+serving layer's generator; :func:`generate_tenant_arrivals` is the
+tenant-only loop they replaced, drawing each stream directly.
 """
 
 from __future__ import annotations
@@ -39,11 +43,13 @@ from repro.apps.queries import (
     QuerySpec,
 )
 from repro.errors import ConfigurationError, ScaloError
+from repro.fabric.loadgen import FabricLoadConfig, tenant_name
 from repro.hashing.collision import HashRecord
 from repro.hashing.emd_hash import EMDHash
 from repro.hashing.lsh import LSHFamily
 from repro.hashing.minhash import _uniform01, finalize_hash
 from repro.recovery.ecc import DecodeResult, PageECC
+from repro.serving.loadgen import Arrival
 from repro.similarity.emd import signal_to_histogram
 
 # --- the hash pipeline: HCONV -> NGRAM -> weighted min-hash ---------------------
@@ -381,3 +387,39 @@ def ecc_decode_page(data: bytes, ecc: PageECC) -> DecodeResult:
     if zlib.crc32(fixed) == ecc.crc:
         return DecodeResult(fixed, 1, True)
     return DecodeResult(data, 0, False, "miscorrection (>=3 flips)")
+
+
+# --- the fabric's per-tenant arrival streams ------------------------------------------
+
+
+def generate_tenant_arrivals(
+    config: FabricLoadConfig,
+) -> dict[str, list[Arrival]]:
+    """Draw every tenant's arrival timeline from its own RNG stream."""
+    weights = np.asarray(config.kind_weights, dtype=float)
+    weights = weights / weights.sum()
+    arrivals: dict[str, list[Arrival]] = {}
+    for index in range(config.n_tenants):
+        tenant = tenant_name(index)
+        multiplier = config.rate_multipliers.get(tenant, 1.0)
+        rng = np.random.default_rng((config.seed, index))
+        n_requests = max(1, round(config.requests_per_tenant * multiplier))
+        qps = config.offered_qps * multiplier
+        stream: list[Arrival] = []
+        t = 0.0
+        for _ in range(n_requests):
+            t += float(rng.exponential(1e3 / qps))
+            kind = ("q1", "q2", "q3")[int(rng.choice(3, p=weights))]
+            template_index = (
+                int(rng.integers(config.n_templates)) if kind == "q2" else None
+            )
+            spec = QuerySpec(
+                kind=kind,
+                time_range_ms=config.time_range_ms,
+                match_fraction=(
+                    1.0 if kind == "q3" else config.match_fraction
+                ),
+            )
+            stream.append(Arrival(t, tenant, spec, template_index))
+        arrivals[tenant] = stream
+    return arrivals

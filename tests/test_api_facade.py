@@ -1,18 +1,20 @@
-"""The ``repro.api`` facade must re-export the whole public surface.
+"""The ``repro.api`` facade exports entry points and nothing else.
 
-PRs 5-9 each grew a subsystem (serving, chaos, health, partition
-coordination, the fleet fabric); the facade's contract is that every
-public type a user needs is importable from ``repro.api`` without
-knowing the internal package layout.  The audit is mechanical:
-``__all__`` must list exactly the public non-module attributes, every
-name must resolve, and the load-bearing types from each era must be
-present by name.
+A name belongs in ``repro.api`` only if it is an entry point, a type
+some entry point's signature takes or returns, or an error an entry
+point raises; everything else is imported from its own module.  The
+audit is mechanical: ``__all__`` must list exactly the public
+non-module attributes, every name must resolve, every function must be
+a listed entry point, and every other name must appear in an entry
+point's annotations or be a :class:`~repro.errors.ScaloError`.
 """
 
 import inspect
+import re
 
 import repro
 from repro import api
+from repro.errors import ScaloError
 
 
 def _public_attrs(module) -> set[str]:
@@ -40,32 +42,46 @@ def test_api_all_names_resolve_and_are_unique():
         assert getattr(api, name) is not None
 
 
-def test_api_exports_every_era():
-    required = {
-        # core (PRs 1-4)
-        "ScaloSystem", "QuerySpec", "QueryCostModel", "WINDOW_MS",
-        "ScaloError", "build_system", "run_query",
-        # serving (PR 5)
-        "QueryServer", "ServerConfig", "AdmissionController", "TokenBucket",
-        "LoadGenConfig", "ServeReport", "serve_session", "final_responses",
-        "per_client_responses", "percentile",
-        # chaos (PR 6)
-        "ChaosConfig", "StormLevel", "FAULT_PRESETS", "chaos_sweep",
-        "run_storm", "CircuitBreaker", "BrownoutController", "RetryPolicy",
-        # health (PR 7)
-        "HealthEngine", "SLO", "SLOEngine", "QuantileSketch",
-        "DEFAULT_SERVING_SLOS", "FlightRecorder", "AnomalyDetector",
-        # partition coordination (PR 8)
-        "PartitionMatrix", "SPLIT_MODES", "FailoverManager",
-        "WriteAheadJournal", "FaultPlan", "HealthMonitor",
-        # fabric (PR 9)
-        "FleetFabric", "FabricConfig", "ShardMap", "FabricLoadConfig",
-        "fabric_session", "run_isolation_gate", "tenant_slos",
-        "build_fabric", "run_fleet_query", "run_population_query",
-        "PopulationResult",
-    }
-    missing = required - set(api.__all__)
-    assert not missing, f"facade lost public names: {sorted(missing)}"
+ENTRY_POINTS = {
+    "build_system", "run_query", "run_scenario", "serve_session",
+    "build_fabric", "run_fleet_query", "run_population_query",
+    "fabric_session", "solve_schedule", "chaos_sweep", "run_storm",
+    "run_partition_storm", "run_isolation_gate",
+}
+
+
+def _annotation_names(function) -> set[str]:
+    """Every identifier in a function's parameter and return annotations."""
+    signature = inspect.signature(function)
+    annotations = [p.annotation for p in signature.parameters.values()]
+    annotations.append(signature.return_annotation)
+    names: set[str] = set()
+    for annotation in annotations:
+        if annotation is inspect.Signature.empty:
+            continue
+        if not isinstance(annotation, str):
+            annotation = inspect.formatannotation(annotation)
+        names.update(re.findall(r"[A-Za-z_]\w*", annotation))
+    return names
+
+
+def test_api_exports_only_entry_points_their_types_and_errors():
+    assert ENTRY_POINTS <= set(api.__all__)
+    assert len(api.__all__) <= 45
+    annotated = set().union(
+        *(_annotation_names(getattr(api, name)) for name in ENTRY_POINTS)
+    )
+    for name in api.__all__:
+        value = getattr(api, name)
+        if inspect.isfunction(value):
+            assert name in ENTRY_POINTS, f"{name} is not an entry point"
+        elif not (
+            inspect.isclass(value) and issubclass(value, ScaloError)
+        ):
+            assert name in annotated, (
+                f"{name} is neither in an entry point's signature "
+                "nor an error"
+            )
 
 
 def test_root_package_exports_fabric_entry_points():

@@ -34,7 +34,8 @@ from repro.fabric import (
     tenant_name,
     tenant_slos,
 )
-from repro.serving import ServerConfig
+from repro.serving import LoadGenConfig, ServerConfig
+from tests import oracles
 
 TENANTS = st.text(
     alphabet=st.characters(min_codepoint=33, max_codepoint=126),
@@ -165,6 +166,81 @@ def test_fabric_run_is_deterministic_per_seed():
         load=FabricLoadConfig(n_tenants=4, requests_per_tenant=6, seed=1),
     )
     assert other.combined_log() != first.combined_log()
+
+
+# -- per-tenant arrival streams --------------------------------------------------
+
+MULTIPLIERS = st.sampled_from([0.01, 0.3, 0.5, 1.0, 1.5, 2.5, 10.0]) | (
+    st.floats(0.05, 12.0)
+)
+
+
+@st.composite
+def fabric_loads(draw) -> FabricLoadConfig:
+    n_tenants = draw(st.integers(1, 12))
+    tenants = [tenant_name(i) for i in range(n_tenants)]
+    noisy = draw(st.lists(st.sampled_from(tenants), unique=True, max_size=3))
+    weights = draw(
+        st.tuples(*[st.floats(0.0, 5.0)] * 3).filter(lambda w: sum(w) > 0)
+    )
+    return FabricLoadConfig(
+        n_tenants=n_tenants,
+        requests_per_tenant=draw(st.integers(1, 20)),
+        offered_qps=draw(st.floats(0.1, 100.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        kind_weights=weights,
+        n_templates=draw(st.integers(1, 8)),
+        time_range_ms=draw(st.floats(1.0, 500.0)),
+        match_fraction=draw(st.floats(0.0, 1.0)),
+        rate_multipliers={t: draw(MULTIPLIERS) for t in noisy},
+    )
+
+
+@given(fabric_loads())
+@settings(max_examples=60, deadline=None)
+def test_tenant_arrivals_equal_the_tenant_loop_oracle(load):
+    """One-client serving draws reproduce the tenant-only loop exactly."""
+    assert generate_tenant_arrivals(load) == oracles.generate_tenant_arrivals(
+        load
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LoadGenConfig(deadline_ms=-5),
+        lambda: LoadGenConfig(deadline_ms=0),
+        lambda: LoadGenConfig(kind_weights=(0.0, 0.0, 0.0)),
+        lambda: LoadGenConfig(kind_weights=(-1.0, 1.0, 1.0)),
+        lambda: LoadGenConfig(kind_weights=(float("nan"), 1.0, 1.0)),
+        lambda: LoadGenConfig(kind_weights=(1.0, 1.0)),
+        lambda: LoadGenConfig(time_range_ms=0.0),
+        lambda: FabricLoadConfig(match_fraction=1.5),
+        lambda: FabricLoadConfig(kind_weights=(0.0, 0.0, 0.0)),
+        lambda: FabricLoadConfig(kind_weights=(-1.0, 1.0, 1.0)),
+        lambda: FabricLoadConfig(kind_weights=(1.0, float("nan"), 1.0)),
+        lambda: FabricLoadConfig(n_tenants=4, rate_multipliers={"t09": 10.0}),
+        lambda: FabricLoadConfig(rate_multipliers={"t00": float("nan")}),
+    ],
+    ids=[
+        "loadgen-negative-deadline",
+        "loadgen-zero-deadline",
+        "loadgen-zero-weights",
+        "loadgen-negative-weight",
+        "loadgen-nan-weight",
+        "loadgen-two-weights",
+        "loadgen-zero-time-range",
+        "fabric-match-fraction-above-one",
+        "fabric-zero-weights",
+        "fabric-negative-weight",
+        "fabric-nan-weight",
+        "fabric-unknown-tenant-multiplier",
+        "fabric-nan-multiplier",
+    ],
+)
+def test_load_configs_reject_bad_shapes_at_construction(make):
+    with pytest.raises(ConfigurationError):
+        make()
 
 
 # -- tenant isolation ------------------------------------------------------------
